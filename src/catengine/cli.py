@@ -181,12 +181,10 @@ def cmd_check_flat(args) -> int:
     }
     if method == "elements" and not isinstance(F, ps.SetFunctor):
         raise ValidationError("the elements-category test needs a set-valued functor")
-    if method in ("covering", "multi", "fc", "merge"):
-        verdict = fns[method](F, target, bound=args.sweep_bound)
-    elif method == "def":
-        verdict = fns[method](F, bound=args.sweep_bound)
-    else:
+    if method == "elements":
         verdict = fns[method](F)
+    else:
+        verdict = fns[method](F, bound=args.sweep_bound)
     payload = {
         "category": cat.name,
         "functor": F.name,

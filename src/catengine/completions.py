@@ -25,8 +25,12 @@ from .fincat import (
     Diagram,
     FiniteCategory,
     FunctorData,
+    all_cocones,
+    category_from_arrows,
     colimit_in_category,
+    cospan_diagram,
     empty_diagram,
+    is_universal,
     limit_in_category,
     pair_diagram,
     parallel_pair_diagram,
@@ -113,32 +117,16 @@ class ConcreteCompletion:
         if "category" in self._cache:
             return self._cache["category"]
         n = len(self.objects)
-        mors: list[tuple[int, int, ps.NatTransformation]] = []
-        index: dict[tuple[int, int, tuple], int] = {}
-        for i in range(n):
-            for j in range(n):
-                for t in self.homs(i, j):
-                    index[(i, j, t.key())] = len(mors)
-                    mors.append((i, j, t))
-        identity = []
-        for i in range(n):
-            identity.append(index[(i, i, ps.identity_nat(self.objects[i]).key())])
-        table = [[-1] * len(mors) for _ in mors]
-        for gi, (j2, k, g) in enumerate(mors):
-            for fi, (i, j, f) in enumerate(mors):
-                if j == j2:
-                    table[gi][fi] = index[(i, k, ps.compose_nats(g, f).key())]
-        cat = FiniteCategory.build(
-            tuple(f"M{i}" for i in range(n)),
-            tuple(f"t{k}" for k in range(len(mors))),
-            tuple(i for (i, _, _) in mors),
-            tuple(j for (_, j, _) in mors),
-            tuple(identity),
-            table,
-            name=f"{self.flavor}({self.base.name})",
+        nat = {(i, j, t.key()): t for i in range(n) for j in range(n) for t in self.homs(i, j)}
+        cat, index = category_from_arrows(
+            [f"M{i}" for i in range(n)], list(nat),
+            [ps.identity_nat(M).key() for M in self.objects],
+            lambda g, f: ps.compose_nats(nat[g], nat[f]).key(),
+            [f"t{k}" for k in range(len(nat))],
+            f"{self.flavor}({self.base.name})",
         )
         self._cache["category"] = cat
-        self._cache["category_mors"] = mors
+        self._cache["category_mors"] = [(i, j, t) for (i, j, _), t in nat.items()]
         self._cache["category_index"] = index
         return cat
 
@@ -837,34 +825,18 @@ def completion_structure(E: ConcreteCompletion, flavor: Optional[str] = None) ->
 
 def _is_regular_epi_in(cat: FiniteCategory, e: int) -> bool:
     """Is ``e`` the coequalizer of its own kernel pair, inside ``cat``?"""
-    kp = limit_in_category(cospan_diagram_of(cat, e))
+    kp = limit_in_category(cospan_diagram(cat, e, e))
     if kp is None:
         return False
     p1, p2 = kp.legs[0], kp.legs[2]
     diagram = parallel_pair_diagram(cat, p1, p2)
-    from .fincat import all_cocones
-
     target = cat.tgt[e]
     legs = (cat.table[e][p1], e)
     try:
-        cand = Cocone(diagram, target, legs)
+        Cocone(diagram, target, legs)
     except ValidationError:
         return False
-    for other in all_cocones(diagram):
-        mediators = [
-            m
-            for m in cat.hom(target, other.apex)
-            if all(cat.table[m][cand.legs[d]] == other.legs[d] for d in range(2))
-        ]
-        if len(mediators) != 1:
-            return False
-    return True
-
-
-def cospan_diagram_of(cat: FiniteCategory, e: int) -> Diagram:
-    from .fincat import cospan_diagram
-
-    return cospan_diagram(cat, e, e)
+    return is_universal(cat, target, legs, [(c.apex, c.legs) for c in all_cocones(diagram)], cocone=True)
 
 
 def _group_shape(n: int, table: dict) -> FiniteCategory:

@@ -174,12 +174,6 @@ class FiniteCategory:
                         continue
                     yield (u, v)
 
-    def describe_morphism(self, m: int) -> str:
-        return (
-            f"{self.morphisms[m]}: {self.objects[self.src[m]]}"
-            f" -> {self.objects[self.tgt[m]]}"
-        )
-
 
 def validate_category(raw: dict, name: Optional[str] = None, infer_identities: bool = True) -> FiniteCategory:
     """Validate a composition-table description and return the category.
@@ -261,6 +255,35 @@ def opposite(cat: FiniteCategory) -> FiniteCategory:
     )
 
 
+def category_from_arrows(objects, arrows, identities, compose, morphisms, name) -> tuple[FiniteCategory, dict]:
+    """The category whose morphism ``k`` is ``arrows[k]``, re-validated.
+
+    An arrow is a triple ``(src, tgt, label)`` of object ids and a hashable
+    label, unique among the arrows; ``identities[i]`` is the label of the
+    identity on object ``i`` and ``compose(g, f)`` the label of ``g∘f`` for
+    composable arrows ``f`` then ``g``, given as their triples.  Returns the
+    category and the index from arrow triple to morphism id.
+    """
+    index = {arrow: k for k, arrow in enumerate(arrows)}
+    into: list[list[int]] = [[] for _ in objects]
+    for k, (_, j, _) in enumerate(arrows):
+        into[j].append(k)
+    table = [[-1] * len(arrows) for _ in arrows]
+    for gi, g in enumerate(arrows):
+        row = table[gi]
+        for fi in into[g[0]]:
+            f = arrows[fi]
+            row[fi] = index[(f[0], g[1], compose(g, f))]
+    cat = FiniteCategory.build(
+        objects, morphisms,
+        [i for (i, _, _) in arrows],
+        [j for (_, j, _) in arrows],
+        [index[(i, i, e)] for i, e in enumerate(identities)],
+        table, name,
+    )
+    return cat, index
+
+
 def elements_category(functor) -> FiniteCategory:
     """Category of elements of a covariant finite-set-valued functor.
 
@@ -269,34 +292,21 @@ def elements_category(functor) -> FiniteCategory:
     whose action sends ``x`` to ``y``.
     """
     base: FiniteCategory = functor.base
-    objs: list[tuple[int, object]] = []
-    obj_of: dict[tuple[int, object], int] = {}
-    for c in range(base.n_objects):
-        for x in functor.at(c):
-            obj_of[(c, x)] = len(objs)
-            objs.append((c, x))
-    mors: list[tuple[int, int]] = []  # (base morphism, source element index)
-    mor_of: dict[tuple[int, int], int] = {}
-    for f in range(base.n_morphisms):
-        c = base.src[f]
-        for x in functor.at(c):
-            i = obj_of[(c, x)]
-            mor_of[(f, i)] = len(mors)
-            mors.append((f, i))
-    src = [i for (_, i) in mors]
-    tgt = [obj_of[(base.tgt[f], functor.apply(f, objs[i][1]))] for (f, i) in mors]
-    identity = [mor_of[(base.identity[c], i)] for i, (c, _) in enumerate(objs)]
-    n = len(mors)
-    table = [[-1] * n for _ in range(n)]
-    for gi, (g, jg) in enumerate(mors):
-        for fi, (f, jf) in enumerate(mors):
-            if tgt[fi] == src[gi]:
-                table[gi][fi] = mor_of[(base.table[g][f], jf)]
+    objs = [(c, x) for c in range(base.n_objects) for x in functor.at(c)]
+    obj_of = {o: i for i, o in enumerate(objs)}
+    arrows = [
+        (obj_of[(base.src[f], x)], obj_of[(base.tgt[f], functor.apply(f, x))], f)
+        for f in range(base.n_morphisms)
+        for x in functor.at(base.src[f])
+    ]
     names = [f"({base.objects[c]},{x})" for (c, x) in objs]
-    mnames = [f"{base.morphisms[f]}@{names[i]}" for (f, i) in mors]
-    return FiniteCategory.build(
-        names, mnames, src, tgt, identity, table, name=f"El({getattr(functor, 'name', 'F')})"
+    cat, _ = category_from_arrows(
+        names, arrows, [base.identity[c] for (c, _) in objs],
+        lambda g, f: base.table[g[2]][f[2]],
+        [f"{base.morphisms[f]}@{names[i]}" for (i, _, f) in arrows],
+        f"El({getattr(functor, 'name', 'F')})",
     )
+    return cat
 
 
 @dataclass(frozen=True)
@@ -337,10 +347,6 @@ def is_cofiltered(cat: FiniteCategory) -> CofilterednessVerdict:
                 (cat.morphisms[u], cat.morphisms[v]),
             )
     return CofilterednessVerdict(True)
-
-
-def is_filtered(cat: FiniteCategory) -> CofilterednessVerdict:
-    return is_cofiltered(opposite(cat))
 
 
 def is_cauchy_complete(cat: FiniteCategory) -> bool:
@@ -414,12 +420,6 @@ class FunctorData:
                         raise ValidationError(
                             f"functor breaks composition at ({C.morphisms[g]}, {C.morphisms[f]})"
                         )
-
-    def apply_obj(self, a: int) -> int:
-        return self.object_map[a]
-
-    def apply_mor(self, m: int) -> int:
-        return self.morphism_map[m]
 
     def is_full(self) -> bool:
         for a in range(self.source.n_objects):
@@ -655,49 +655,41 @@ def limit_in_category(diagram: Diagram) -> Optional[Cone]:
 
     Memoized; the search depends only on the diagram.
     """
-    if diagram in _LIMIT_CACHE:
-        return _LIMIT_CACHE[diagram]
-    out = _limit_search(diagram)
-    _LIMIT_CACHE[diagram] = out
-    return out
-
-
-def _limit_search(diagram: Diagram) -> Optional[Cone]:
-    C = diagram.target
-    cones = all_cones(diagram)
-    for cand in cones:
-        good = True
-        for other in cones:
-            mediators = [
-                m
-                for m in C.hom(other.apex, cand.apex)
-                if all(C.table[cand.legs[d]][m] == other.legs[d] for d in range(len(cand.legs)))
-            ]
-            if len(mediators) != 1:
-                good = False
-                break
-        if good:
-            return cand
-    return None
+    if diagram not in _LIMIT_CACHE:
+        _LIMIT_CACHE[diagram] = _first_universal(diagram.target, all_cones(diagram), cocone=False)
+    return _LIMIT_CACHE[diagram]
 
 
 def colimit_in_category(diagram: Diagram) -> Optional[Cocone]:
-    C = diagram.target
-    cocones = all_cocones(diagram)
-    for cand in cocones:
-        good = True
-        for other in cocones:
-            mediators = [
-                m
-                for m in C.hom(cand.apex, other.apex)
-                if all(C.table[m][cand.legs[d]] == other.legs[d] for d in range(len(cand.legs)))
-            ]
-            if len(mediators) != 1:
-                good = False
-                break
-        if good:
-            return cand
-    return None
+    """The colimiting cocone found by universal-property search, if any."""
+    return _first_universal(diagram.target, all_cocones(diagram), cocone=True)
+
+
+def mediators(C: FiniteCategory, apex: int, legs: Sequence[int], other_apex: int,
+              other_legs: Sequence[int], cocone: bool) -> list[int]:
+    """The morphisms through which ``(other_apex, other_legs)`` factors
+    through the (co)cone ``(apex, legs)``: every ``m: other_apex -> apex``
+    with ``legs[d]∘m == other_legs[d]`` for a cone, every ``m: apex ->
+    other_apex`` with ``m∘legs[d] == other_legs[d]`` for a cocone."""
+    table = C.table
+    if cocone:
+        return [m for m in C.hom(apex, other_apex) if all(table[m][l] == o for l, o in zip(legs, other_legs))]
+    return [m for m in C.hom(other_apex, apex) if all(table[l][m] == o for l, o in zip(legs, other_legs))]
+
+
+def is_universal(C: FiniteCategory, apex: int, legs: Sequence[int], competitors, cocone: bool) -> bool:
+    """Does every competitor, an ``(other_apex, other_legs)`` pair, factor
+    through the (co)cone ``(apex, legs)`` by exactly one morphism?"""
+    for other_apex, other_legs in competitors:
+        if len(mediators(C, apex, legs, other_apex, other_legs, cocone)) != 1:
+            return False
+    return True
+
+
+def _first_universal(C: FiniteCategory, cands: list, cocone: bool):
+    """The first of ``cands`` that is universal among all of them."""
+    pairs = [(c.apex, c.legs) for c in cands]
+    return next((c for c in cands if is_universal(C, c.apex, c.legs, pairs, cocone)), None)
 
 
 def pullback_in_category(cat: FiniteCategory, l: int, r: int) -> Optional[Cone]:
@@ -726,8 +718,8 @@ def category_to_json(cat: FiniteCategory) -> dict:
 # -- functor enumeration -----------------------------------------------------
 
 
-def _generators(cat: FiniteCategory) -> tuple[list[int], dict[int, tuple[int, int]]]:
-    """A generating set of non-identity morphisms plus derivations for the rest."""
+def _generators(cat: FiniteCategory) -> list[int]:
+    """A generating set of non-identity morphisms."""
     nonid = [m for m in range(cat.n_morphisms) if not cat.is_identity(m)]
     gens = [
         m
@@ -739,7 +731,6 @@ def _generators(cat: FiniteCategory) -> tuple[list[int], dict[int, tuple[int, in
             if cat.tgt[f] == cat.src[g]
         )
     ]
-    derivation: dict[int, tuple[int, int]] = {}
     known = set(gens) | {cat.identity[a] for a in range(cat.n_objects)}
     while True:
         grown = False
@@ -749,7 +740,6 @@ def _generators(cat: FiniteCategory) -> tuple[list[int], dict[int, tuple[int, in
                     c = cat.table[g][f]
                     if c not in known:
                         known.add(c)
-                        derivation[c] = (g, f)
                         grown = True
         if not grown:
             if len(known) == cat.n_morphisms:
@@ -758,15 +748,7 @@ def _generators(cat: FiniteCategory) -> tuple[list[int], dict[int, tuple[int, in
             extra = min(m for m in nonid if m not in known)
             gens.append(extra)
             known.add(extra)
-    order = sorted(derivation, key=lambda c: _derivation_depth(c, derivation))
-    return gens, {c: derivation[c] for c in order}
-
-
-def _derivation_depth(c, derivation, seen=None):
-    if c not in derivation:
-        return 0
-    g, f = derivation[c]
-    return 1 + max(_derivation_depth(g, derivation), _derivation_depth(f, derivation))
+    return gens
 
 
 def enumerate_functors(source: FiniteCategory, target: FiniteCategory, rng=None) -> Iterator[FunctorData]:
@@ -778,7 +760,7 @@ def enumerate_functors(source: FiniteCategory, target: FiniteCategory, rng=None)
     (deterministically for a seeded generator), which turns truncated
     enumeration into fair sampling.
     """
-    gens, _ = _generators(source)
+    gens = _generators(source)
     n = source.n_morphisms
     left_of = [[] for _ in range(n)]   # m -> [(g, g∘m)]
     right_of = [[] for _ in range(n)]  # m -> [(f, m∘f)]
@@ -867,24 +849,14 @@ def finset_category(n: int) -> tuple[FiniteCategory, list[tuple[int, int, tuple[
     """
     if n in _FINSET_CACHE:
         return _FINSET_CACHE[n]
-    objects = [str(k) for k in range(n + 1)]
-    decode: list[tuple[int, int, tuple[int, ...]]] = []
-    index: dict[tuple[int, int, tuple[int, ...]], int] = {}
-    for a in range(n + 1):
-        for b in range(n + 1):
-            for t in itertools.product(range(b), repeat=a):
-                index[(a, b, t)] = len(decode)
-                decode.append((a, b, t))
-    names = [f"{a}>{b}:{''.join(map(str, t))}" for (a, b, t) in decode]
-    src = [a for (a, _, _) in decode]
-    tgt = [b for (_, b, _) in decode]
-    identity = [index[(a, a, tuple(range(a)))] for a in range(n + 1)]
-    m = len(decode)
-    table = [[-1] * m for _ in range(m)]
-    for gi, (b2, c, tg) in enumerate(decode):
-        for fi, (a, b, tf) in enumerate(decode):
-            if b == b2:
-                table[gi][fi] = index[(a, c, tuple(tg[i] for i in tf))]
-    cat = FiniteCategory.build(objects, names, src, tgt, identity, table, name=f"FinSet<={n}")
+    decode = [
+        (a, b, t) for a in range(n + 1) for b in range(n + 1) for t in itertools.product(range(b), repeat=a)
+    ]
+    cat, _ = category_from_arrows(
+        [str(k) for k in range(n + 1)], decode, [tuple(range(a)) for a in range(n + 1)],
+        lambda g, f: tuple(g[2][i] for i in f[2]),
+        [f"{a}>{b}:{''.join(map(str, t))}" for (a, b, t) in decode],
+        f"FinSet<={n}",
+    )
     _FINSET_CACHE[n] = (cat, decode)
     return cat, decode

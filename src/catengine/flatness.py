@@ -290,83 +290,55 @@ def is_flat(F, diagrams=None, bound: int = 0) -> FlatVerdict:
 # -- structural characterizations ---------------------------------------------
 
 
-def left_covering(F, target=None, diagrams=None, bound: int = 0) -> FlatVerdict:
+def _structural(method: str, F, diagrams, bound: int) -> FlatVerdict:
+    """Sweep the domain's diagrams; at each, compare the image of the
+    detected virtual-limit family with the actual limit of the composite."""
+    detector, missing, comparison, bijective, detail = _STRUCTURAL[method]
+    F = _as_concrete(F)
+    C = F.source
+    for diagram in _sweep(C, diagrams, bound):
+        # looked up per call, so a rebinding of the detector is seen here
+        found = getattr(vl, detector)(vl.virtual_limit(C, diagram))
+        if found is None:
+            raise missing(diagram.describe())
+        comp = comparison(F, found, composite_limit(F, diagram))
+        if not (comp.is_pointwise_bijective() if bijective else comp.is_pointwise_surjective()):
+            return FlatVerdict(False, FailingWeight(diagram.describe(), detail), method)
+    return FlatVerdict(True, None, method)
+
+
+# method -> (virtlim detector, raised when it finds nothing, comparison map,
+#            whether the map must be bijective rather than surjective, failure detail)
+_STRUCTURAL = {
+    "covering": ("weak_limit", NoWeakLimit, lambda F, wl, lim: comparison_from_cone(F, wl[1], lim),
+                 False, "weak-limit comparison is not a regular epi"),
+    "multi": ("multilimit", NoMultilimit, canonical_from_family,
+              True, "multilimit comparison is not an isomorphism"),
+    "fc": ("fc_limit", None, canonical_from_family,
+           False, "fc-family comparison is not a regular epi"),
+    "merge": ("multi_finite_limit", NoMultiFiniteLimit, canonical_from_family,
+              True, "multi-finite comparison is not an isomorphism"),
+}
+
+
+def left_covering(F, diagrams=None, bound: int = 0) -> FlatVerdict:
     """Each weak limit's comparison into the actual limit must be regular epi."""
-    F = _as_concrete(F)
-    C = F.source
-    for diagram in _sweep(C, diagrams, bound):
-        v = vl.virtual_limit(C, diagram)
-        wl = vl.weak_limit(v)
-        if wl is None:
-            raise NoWeakLimit(diagram.describe())
-        _, cone = wl
-        lim = composite_limit(F, diagram)
-        comp = comparison_from_cone(F, cone, lim)
-        if not comp.is_pointwise_surjective():
-            return FlatVerdict(
-                False,
-                FailingWeight(diagram.describe(), "weak-limit comparison is not a regular epi"),
-                "covering",
-            )
-    return FlatVerdict(True, None, "covering")
+    return _structural("covering", F, diagrams, bound)
 
 
-def finitely_multicontinuous(F, target=None, diagrams=None, bound: int = 0) -> FlatVerdict:
+def finitely_multicontinuous(F, diagrams=None, bound: int = 0) -> FlatVerdict:
     """The multilimit family's canonical map must be an isomorphism."""
-    F = _as_concrete(F)
-    C = F.source
-    for diagram in _sweep(C, diagrams, bound):
-        v = vl.virtual_limit(C, diagram)
-        family = vl.multilimit(v)
-        if family is None:
-            raise NoMultilimit(diagram.describe())
-        lim = composite_limit(F, diagram)
-        can = canonical_from_family(F, family, lim)
-        if not can.is_pointwise_bijective():
-            return FlatVerdict(
-                False,
-                FailingWeight(diagram.describe(), "multilimit comparison is not an isomorphism"),
-                "multi",
-            )
-    return FlatVerdict(True, None, "multi")
+    return _structural("multi", F, diagrams, bound)
 
 
-def fc_continuous(F, target=None, diagrams=None, bound: int = 0) -> FlatVerdict:
+def fc_continuous(F, diagrams=None, bound: int = 0) -> FlatVerdict:
     """The minimal fc-family's canonical map must be a regular epi."""
-    F = _as_concrete(F)
-    C = F.source
-    for diagram in _sweep(C, diagrams, bound):
-        v = vl.virtual_limit(C, diagram)
-        family = vl.fc_limit(v)
-        lim = composite_limit(F, diagram)
-        can = canonical_from_family(F, family, lim)
-        if not can.is_pointwise_surjective():
-            return FlatVerdict(
-                False,
-                FailingWeight(diagram.describe(), "fc-family comparison is not a regular epi"),
-                "fc",
-            )
-    return FlatVerdict(True, None, "fc")
+    return _structural("fc", F, diagrams, bound)
 
 
-def merges_multi_finite(F, target=None, diagrams=None, bound: int = 0) -> FlatVerdict:
+def merges_multi_finite(F, diagrams=None, bound: int = 0) -> FlatVerdict:
     """The multi-finite limit family's canonical map must be an isomorphism."""
-    F = _as_concrete(F)
-    C = F.source
-    for diagram in _sweep(C, diagrams, bound):
-        v = vl.virtual_limit(C, diagram)
-        family = vl.multi_finite_limit(v)
-        if family is None:
-            raise NoMultiFiniteLimit(diagram.describe())
-        lim = composite_limit(F, diagram)
-        can = canonical_from_family(F, family, lim)
-        if not can.is_pointwise_bijective():
-            return FlatVerdict(
-                False,
-                FailingWeight(diagram.describe(), "multi-finite comparison is not an isomorphism"),
-                "merge",
-            )
-    return FlatVerdict(True, None, "merge")
+    return _structural("merge", F, diagrams, bound)
 
 
 # -- lexness of set-valued functors (for lex domains) --------------------------

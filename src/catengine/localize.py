@@ -26,7 +26,7 @@ from .fincat import (
     colimit_in_category,
     compose_functors,
     enumerate_functors,
-    limit_in_category,
+    mediators,
     pair_diagram,
     pullback_in_category,
 )
@@ -96,15 +96,13 @@ def validate_congruence(host: FiniteCategory, members, kind: str = "pullback") -
                         f"coproduct of ({host.morphisms[s]}, {host.morphisms[t]}) undefined; vacuously closed"
                     )
                     continue
-                mediators = [
-                    m
-                    for m in host.hom(src_cp.apex, tgt_cp.apex)
-                    if host.table[m][src_cp.legs[0]] == host.table[tgt_cp.legs[0]][s]
-                    and host.table[m][src_cp.legs[1]] == host.table[tgt_cp.legs[1]][t]
-                ]
-                if len(mediators) != 1:
+                s_plus_t = mediators(
+                    host, src_cp.apex, src_cp.legs, tgt_cp.apex,
+                    (host.table[tgt_cp.legs[0]][s], host.table[tgt_cp.legs[1]][t]), cocone=True,
+                )
+                if len(s_plus_t) != 1:
                     raise ValidationError("internal: coproduct mediator not unique")
-                if mediators[0] not in members:
+                if s_plus_t[0] not in members:
                     raise NotCongruence(
                         "coproduct-closure", (host.morphisms[s], host.morphisms[t])
                     )
@@ -120,9 +118,6 @@ class FractionsResult:
     category: FiniteCategory
     projection: FunctorData
     classes: tuple[tuple[int, int], ...]  # representative span per localized morphism
-
-    def span_of(self, mid: int) -> tuple[int, int]:
-        return self.classes[mid]
 
 
 def _spans(host: FiniteCategory, members: frozenset) -> list[tuple[int, int]]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Hashable, Iterator, Optional, Sequence
+from typing import Hashable, Iterable, Iterator, Optional, Sequence
 
 from .errors import FiberCapExceeded, ValidationError
 from .fincat import FiniteCategory, FunctorData, opposite
@@ -189,9 +189,6 @@ class NatTransformation:
             for x in M.values[b]:
                 if self.components[a][M.actions[f][x]] != N.actions[f][self.components[b][x]]:
                     raise ValidationError(f"naturality fails at {C.morphisms[f]}")
-
-    def component(self, a: int) -> dict:
-        return self.components[a]
 
     def apply(self, a: int, x):
         return self.components[a][x]

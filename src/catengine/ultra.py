@@ -21,9 +21,10 @@ from .fincat import (
     FiniteCategory,
     FunctorData,
     all_cocones,
+    category_from_arrows,
     colimit_in_category,
-    empty_diagram,
     full_subcategory,
+    is_universal,
 )
 from . import presheaf as ps
 
@@ -33,10 +34,6 @@ class Ultrafilter:
     ground: tuple
     members: tuple[frozenset, ...]
     principal_point: object
-
-    @property
-    def canonical_members(self) -> tuple[frozenset, ...]:
-        return self.members
 
 
 def _sorted_members(members) -> tuple[frozenset, ...]:
@@ -129,7 +126,7 @@ def sigma_category(inst: UltraInstance, max_objects: int = 600) -> tuple[FiniteC
     re-validated as a finite category.
     """
     host = inst.host
-    members = inst.ultrafilter.canonical_members
+    members = inst.ultrafilter.members
     objs: list[tuple[int, frozenset, tuple[int, ...]]] = []
     for N in range(host.n_objects):
         for S in members:
@@ -138,7 +135,6 @@ def sigma_category(inst: UltraInstance, max_objects: int = 600) -> tuple[FiniteC
                 objs.append((N, S, u))
                 if len(objs) > max_objects:
                     raise BoundExceeded("sigma_objects", f"> {max_objects}")
-    oid = {o: i for i, o in enumerate(objs)}
     mors: list[tuple[int, int, int]] = []  # (source obj, target obj, h)
     for i, (N, S, u) in enumerate(objs):
         for j, (N2, S2, u2) in enumerate(objs):
@@ -148,26 +144,16 @@ def sigma_category(inst: UltraInstance, max_objects: int = 600) -> tuple[FiniteC
             for h in host.hom(N, N2):
                 if all(host.table[u2[k]][h] == u[positions[k]] for k in range(len(u2))):
                     mors.append((i, j, h))
-    mid = {m: k for k, m in enumerate(mors)}
-    identity = [mid[(i, i, host.identity[N])] for i, (N, _, _) in enumerate(objs)]
-    table = [[-1] * len(mors) for _ in mors]
-    for gi, (j2, k, h2) in enumerate(mors):
-        for fi, (i, j, h1) in enumerate(mors):
-            if j == j2:
-                table[gi][fi] = mid[(i, k, host.table[h2][h1])]
 
     def oname(o):
         N, S, u = o
         return f"({host.objects[N]},{{{','.join(map(repr, sorted(S, key=repr)))}}},{','.join(host.morphisms[x] for x in u)})"
 
-    cat = FiniteCategory.build(
-        tuple(oname(o) for o in objs),
-        tuple(f"{host.morphisms[h]}:{i}->{j}" for (i, j, h) in mors),
-        tuple(i for (i, _, _) in mors),
-        tuple(j for (_, j, _) in mors),
-        tuple(identity),
-        table,
-        name=f"Sigma({host.name})",
+    cat, _ = category_from_arrows(
+        [oname(o) for o in objs], mors, [host.identity[N] for (N, _, _) in objs],
+        lambda g, f: host.table[g[2]][f[2]],
+        [f"{host.morphisms[h]}:{i}->{j}" for (i, j, h) in mors],
+        f"Sigma({host.name})",
     )
     pi = FunctorData(
         cat, host,
@@ -194,7 +180,7 @@ class UltraCocone:
 
 def _stage_presheaves(inst: UltraInstance):
     host = inst.host
-    members = inst.ultrafilter.canonical_members
+    members = inst.ultrafilter.members
     reps = {o: ps.yoneda(host, o) for o in set(inst.family)}
     stages = {}
     for S in members:
@@ -215,7 +201,7 @@ def _restriction_components(inst, stages, S: frozenset, S2: frozenset):
 def _cocones_into(inst, stages, N: int) -> list[dict]:
     """All compatible families of stage maps into the representable at ``N``."""
     host = inst.host
-    members = inst.ultrafilter.canonical_members
+    members = inst.ultrafilter.members
     YN = ps.yoneda(host, N)
     res = {
         (S, S2): _restriction_components(inst, stages, S, S2)
@@ -258,32 +244,22 @@ def universal_ultraproduct(inst: UltraInstance) -> Optional[UltraCocone]:
     """
     host = inst.host
     stages = _stage_presheaves(inst)
-    members = inst.ultrafilter.canonical_members
-    competitors = {N: _cocones_into(inst, stages, N) for N in range(host.n_objects)}
-    for P in range(host.n_objects):
-        YP = ps.yoneda(host, P)
-        for delta in competitors[P]:
-            universal = True
-            for N in range(host.n_objects):
-                YN = ps.yoneda(host, N)
-                for c in competitors[N]:
-                    mediators = [
-                        f
-                        for f in host.hom(P, N)
-                        if all(
-                            host.table[f][delta[S].components[a][x]] == c[S].components[a][x]
-                            for S in members
-                            for a in range(host.n_objects)
-                            for x in stages[S].apex.values[a]
-                        )
-                    ]
-                    if len(mediators) != 1:
-                        universal = False
-                        break
-                if not universal:
-                    break
-            if universal:
-                return UltraCocone(P, delta)
+    members = inst.ultrafilter.members
+
+    def legs(cocone: dict) -> tuple[int, ...]:
+        # every component value is a host morphism into the cocone's object
+        return tuple(
+            cocone[S].components[a][x]
+            for S in members
+            for a in range(host.n_objects)
+            for x in stages[S].apex.values[a]
+        )
+
+    competitors = [(N, c, legs(c)) for N in range(host.n_objects) for c in _cocones_into(inst, stages, N)]
+    pairs = [(N, ls) for (N, _, ls) in competitors]
+    for P, delta, ls in competitors:
+        if is_universal(host, P, ls, pairs, cocone=True):
+            return UltraCocone(P, delta)
     return None
 
 
@@ -291,25 +267,15 @@ def universal_ultraproduct(inst: UltraInstance) -> Optional[UltraCocone]:
 
 
 def _member_poset(uf: Ultrafilter) -> FiniteCategory:
-    members = uf.canonical_members
+    members = uf.members
     n = len(members)
-    rel = [[members[j] <= members[i] for j in range(n)] for i in range(n)]
-    mors = [(i, j) for i in range(n) for j in range(n) if rel[i][j]]
-    mid = {m: k for k, m in enumerate(mors)}
-    table = [[-1] * len(mors) for _ in mors]
-    for gi, (j2, k) in enumerate(mors):
-        for fi, (i, j) in enumerate(mors):
-            if j == j2:
-                table[gi][fi] = mid[(i, k)]
-    return FiniteCategory.build(
-        tuple("{" + ",".join(map(repr, sorted(S, key=repr))) + "}" for S in members),
-        tuple(f"r{i}->{j}" for (i, j) in mors),
-        tuple(i for (i, _) in mors),
-        tuple(j for (_, j) in mors),
-        tuple(mid[(i, i)] for i in range(n)),
-        table,
-        name="members",
+    mors = [(i, j, None) for i in range(n) for j in range(n) if members[j] <= members[i]]
+    cat, _ = category_from_arrows(
+        ["{" + ",".join(map(repr, sorted(S, key=repr))) + "}" for S in members],
+        mors, [None] * n, lambda g, f: None,
+        [f"r{i}->{j}" for (i, j, _) in mors], "members",
     )
+    return cat
 
 
 def set_functor_product(Fs: Sequence[ps.SetFunctor], base: FiniteCategory) -> ps.SetFunctor:
@@ -326,7 +292,7 @@ def set_functor_product(Fs: Sequence[ps.SetFunctor], base: FiniteCategory) -> ps
 
 def categorical_ultraproduct(base: FiniteCategory, family: Sequence[ps.SetFunctor], uf: Ultrafilter) -> ps.SetFunctor:
     """Filtered colimit of member-indexed products, computed pointwise."""
-    members = uf.canonical_members
+    members = uf.members
     X = uf.ground
     shape = _member_poset(uf)
     vertices_cov = []
@@ -355,28 +321,18 @@ def categorical_ultraproduct(base: FiniteCategory, family: Sequence[ps.SetFuncto
 
 def _comma_diagram(host: FiniteCategory, m_objects: Sequence[int], k: int) -> tuple[Diagram, tuple[int, ...]]:
     objs = [(m, g) for m in m_objects for g in host.hom(m, k)]
-    oid = {o: i for i, o in enumerate(objs)}
     mors = []
     for i, (m, g) in enumerate(objs):
         for j, (m2, g2) in enumerate(objs):
             for h in host.hom(m, m2):
                 if host.table[g2][h] == g:
                     mors.append((i, j, h))
-    mid = {m: i for i, m in enumerate(mors)}
-    identity = [mid[(i, i, host.identity[m])] for i, (m, _) in enumerate(objs)]
-    table = [[-1] * len(mors) for _ in mors]
-    for gi, (j2, kk, h2) in enumerate(mors):
-        for fi, (i, j, h1) in enumerate(mors):
-            if j == j2:
-                table[gi][fi] = mid[(i, kk, host.table[h2][h1])]
-    shape = FiniteCategory.build(
-        tuple(f"({host.objects[m]},{host.morphisms[g]})" for (m, g) in objs),
-        tuple(f"h{i}" for i in range(len(mors))),
-        tuple(i for (i, _, _) in mors),
-        tuple(j for (_, j, _) in mors),
-        tuple(identity),
-        table,
-        name=f"({host.name} down {host.objects[k]})",
+    shape, _ = category_from_arrows(
+        [f"({host.objects[m]},{host.morphisms[g]})" for (m, g) in objs],
+        mors, [host.identity[m] for (m, _) in objs],
+        lambda g, f: host.table[g[2]][f[2]],
+        [f"h{i}" for i in range(len(mors))],
+        f"({host.name} down {host.objects[k]})",
     )
     body = FunctorData(shape, host, tuple(m for (m, _) in objs), tuple(h for (_, _, h) in mors))
     legs = tuple(g for (_, g) in objs)
@@ -388,17 +344,11 @@ def verify_density(host: FiniteCategory, m_objects: Sequence[int]) -> None:
     for k in range(host.n_objects):
         diagram, legs = _comma_diagram(host, m_objects, k)
         try:
-            canonical = Cocone(diagram, k, legs)
+            Cocone(diagram, k, legs)
         except ValidationError as exc:
             raise DensityUnverified(host.objects[k]) from exc
-        for other in all_cocones(diagram):
-            mediators = [
-                f
-                for f in host.hom(k, other.apex)
-                if all(host.table[f][legs[d]] == other.legs[d] for d in range(len(legs)))
-            ]
-            if len(mediators) != 1:
-                raise DensityUnverified(host.objects[k])
+        if not is_universal(host, k, legs, [(c.apex, c.legs) for c in all_cocones(diagram)], cocone=True):
+            raise DensityUnverified(host.objects[k])
 
 
 @dataclass(frozen=True)

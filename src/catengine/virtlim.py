@@ -15,7 +15,7 @@ from .fincat import (
     Cone,
     Diagram,
     FiniteCategory,
-    FunctorData,
+    category_from_arrows,
     empty_diagram,
     pair_diagram,
     parallel_pair_diagram,
@@ -241,38 +241,21 @@ def generating_diagrams(cat: FiniteCategory) -> list[Diagram]:
 
 
 def _free_dag_category(n: int, edges: tuple[tuple[int, int], ...]) -> FiniteCategory:
-    paths = [(i, ()) for i in range(n)]
-    frontier = list(paths)
+    # a morphism is a path (start, end, edge indices), shortest paths first
+    paths = [(i, i, ()) for i in range(n)]
+    frontier = paths
     while frontier:
-        nxt = []
-        for (start, es) in frontier:
-            end = edges[es[-1]][1] if es else start
-            for k, (i, j) in enumerate(edges):
-                if i == end:
-                    p = (start, es + (k,))
-                    nxt.append(p)
-        paths.extend(nxt)
-        frontier = nxt
-    idx = {p: i for i, p in enumerate(paths)}
-
-    def endpoint(p):
-        return edges[p[1][-1]][1] if p[1] else p[0]
-
-    n_mor = len(paths)
-    table = [[-1] * n_mor for _ in range(n_mor)]
-    for gi, g in enumerate(paths):
-        for fi, f in enumerate(paths):
-            if g[0] == endpoint(f):
-                table[gi][fi] = idx[(f[0], f[1] + g[1])]
-    return FiniteCategory.build(
-        tuple(f"n{i}" for i in range(n)),
-        tuple("1_n%d" % p[0] if not p[1] else "e" + "".join(map(str, p[1])) + f"@n{p[0]}" for p in paths),
-        tuple(p[0] for p in paths),
-        tuple(endpoint(p) for p in paths),
-        tuple(idx[(i, ())] for i in range(n)),
-        table,
-        name=f"dag{n}:{edges}",
+        frontier = [
+            (start, j, es + (k,)) for (start, end, es) in frontier for k, (i, j) in enumerate(edges) if i == end
+        ]
+        paths = paths + frontier
+    cat, _ = category_from_arrows(
+        [f"n{i}" for i in range(n)], paths, [()] * n,
+        lambda g, f: f[2] + g[2],
+        ["1_n%d" % i if not es else "e" + "".join(map(str, es)) + f"@n{i}" for (i, _, es) in paths],
+        f"dag{n}:{edges}",
     )
+    return cat
 
 
 _DAG_SHAPES: dict[int, list[FiniteCategory]] = {}

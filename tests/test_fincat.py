@@ -1,12 +1,17 @@
 from __future__ import annotations
 
-import itertools
+import hashlib
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
+from catengine import completions as cp
 from catengine import corpus
 from catengine import fincat as fc
+from catengine import ultra
+from catengine import virtlim as vl
 from catengine.errors import (
     AssociativityViolation,
     IdentityViolation,
@@ -217,3 +222,88 @@ def test_generator_fallback_for_idempotents():
     FS2, _ = fc.finset_category(2)
     # functors = (set of size <= 2, idempotent endomap): 1 + 1 + 3
     assert len(list(fc.enumerate_functors(M, FS2))) == 5
+
+
+# -- the universality search -------------------------------------------------
+
+
+def _opposite_diagram(D: fc.Diagram) -> fc.Diagram:
+    shape, target = fc.opposite(D.shape), fc.opposite(D.target)
+    return fc.Diagram(shape, fc.FunctorData(shape, target, D.body.object_map, D.body.morphism_map))
+
+
+def _check_universality(C: fc.FiniteCategory) -> tuple[int, int]:
+    """Check every generating diagram of ``C`` against the oracle; returns
+    how many diagrams have a limit and how many have none."""
+    found = missing = 0
+    for D in vl.generating_diagrams(C):
+        cones = oracles.enumerate_cones(D)
+        expected = next(
+            (c for c in cones if all(len(oracles._factorizations(C, e, c)) == 1 for e in cones)), None
+        )
+        lim = fc.limit_in_category(D)
+        assert (lim and (lim.apex, lim.legs)) == expected, (C.name, D.describe())
+        colim = fc.colimit_in_category(D)
+        dual = fc.limit_in_category(_opposite_diagram(D))
+        assert (colim and (colim.apex, colim.legs)) == (dual and (dual.apex, dual.legs)), (C.name, D.describe())
+        found += lim is not None
+        missing += lim is None
+    return found, missing
+
+
+def test_universality_search_matches_oracle(cats):
+    hosts = list(cats.values()) + vl.dag_shapes(2) + [fc.finset_category(2)[0]]
+    counts = [_check_universality(C) for C in hosts]
+    # both outcomes occur, so neither comparison passes vacuously
+    assert sum(f for f, _ in counts) > 0 and sum(m for _, m in counts) > 0
+
+
+@settings(max_examples=15, deadline=None)
+@given(dag_categories())
+def test_universality_search_matches_oracle_on_free_categories(C):
+    _check_universality(C)
+
+
+# -- categories built from arrow tables --------------------------------------
+
+# sha256 of the sorted-key JSON of one fixed output per constructor built on
+# fincat.category_from_arrows, recorded before the constructors shared it
+ARROW_TABLE_OUTPUTS = {
+    "elements_category": (
+        lambda cats: fc.elements_category(hom_functor(cats["PAR"], 0)),
+        "8acbaf2e18f097a7a083716d6f147e69b89afb86bebaf595b176c7fb72b620a6",
+    ),
+    "finset_category": (
+        lambda cats: fc.finset_category(2)[0],
+        "bc312b0f8dabf02d224cdaa7c79c9679c85b3d8205e3f6bbe276dd1a152492ae",
+    ),
+    "sigma_category": (
+        lambda cats: ultra.sigma_category(
+            ultra.UltraInstance(cats["PAR"], (0, 1), ultra.principal_ultrafilter((0, 1), 1))
+        )[0],
+        "338624d232d2ce377335ee5a83a09544a8409cbfdda538383d8157311458b759",
+    ),
+    "member_poset": (
+        lambda cats: ultra._member_poset(ultra.principal_ultrafilter((0, 1, 2), 1)),
+        "456a566b7c686d8f2b48141fee3621bc7f5d48c36acfe8d78edd0544400c6051",
+    ),
+    "comma_diagram": (
+        lambda cats: ultra._comma_diagram(cats["PAR"], (0, 1), 1)[0].shape,
+        "b2d60029c7d463a8c760f4c4571ca7c5d2ad27b1e32d58ccc2a3d8cb7dc175b7",
+    ),
+    "as_category": (
+        lambda cats: cp.fam_f(cats["ARROW"], 2).as_category(),
+        "042e0adf711cfb6a757e846d2206bbfa0f1f7f637167ea012f3127f24f534b5a",
+    ),
+    "free_dag_category": (
+        lambda cats: vl._free_dag_category(3, ((0, 1), (0, 1), (1, 2), (0, 2))),
+        "ba63c46f31c653c452b16962281712ed25fcf236c9c5f00e6256199920bea21c",
+    ),
+}
+
+
+@pytest.mark.parametrize("constructor", sorted(ARROW_TABLE_OUTPUTS))
+def test_arrow_table_constructors_pinned(cats, constructor):
+    build, digest = ARROW_TABLE_OUTPUTS[constructor]
+    data = json.dumps(fc.category_to_json(build(cats)), sort_keys=True).encode()
+    assert hashlib.sha256(data).hexdigest() == digest
