@@ -13,6 +13,7 @@ produced it.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field, replace
@@ -97,10 +98,11 @@ class ConcreteCompletion:
             raise ValidationError("provenance must track objects")
 
     def find_object(self, M: ps.Presheaf) -> Optional[int]:
-        for i, N in enumerate(self.objects):
-            if M.fiber_sizes() == N.fiber_sizes() and ps.find_iso(M, N) is not None:
-                return i
-        return None
+        # the objects never change, so a miss is as final as a hit
+        memo = self._cache.setdefault("find_object", {})
+        key, i = _first_iso(self.objects, memo, M)
+        memo[key] = i
+        return i
 
     def homs(self, i: int, j: int) -> list[ps.NatTransformation]:
         key = ("hom", i, j)
@@ -213,6 +215,53 @@ def _relabelled(M: ps.Presheaf, name: str) -> ps.Presheaf:
     return out
 
 
+def _structure(M: ps.Presheaf) -> tuple:
+    """``M`` exactly, with each element renamed to its position in its fiber."""
+    C = M.base
+    pos = [{x: k for k, x in enumerate(fiber)} for fiber in M.values]
+    return M.fiber_sizes(), tuple(
+        tuple(pos[C.src[f]][M.actions[f][x]] for x in M.values[C.tgt[f]])
+        for f in range(C.n_morphisms)
+    )
+
+
+def _first_iso(objects: Sequence[ps.Presheaf], memo: dict, M: ps.Presheaf) -> tuple[tuple, Optional[int]]:
+    """The index of the first of ``objects`` isomorphic to ``M``, or None.
+
+    ``memo`` maps an exact structure (:func:`_structure`) to an index found
+    before; a miss scans ``objects`` in order and records a hit.  Presheaves
+    with the same structure are isomorphic, and ``objects`` only ever grows
+    at the end, so a recorded index is the one the scan would return.
+    Returns the structure too, for the caller to record its own outcome.
+    """
+    key = _structure(M)
+    if key in memo:
+        return key, memo[key]
+    sizes = M.fiber_sizes()
+    for i, N in enumerate(objects):
+        if sizes == N.fiber_sizes() and ps.find_iso(M, N) is not None:
+            memo[key] = i
+            return key, i
+    return key, None
+
+
+def _unseen_equalizers(i: int, ts: Sequence[ps.NatTransformation], seen: set):
+    """The index pairs of ``ts`` whose equalizer is not in ``seen``, in order.
+
+    An equalizer is keyed by its source index and, per fiber, the elements on
+    which the pair agrees: these fix it up to renaming elements in fiber
+    order, whatever the target.  Each yielded key is added to ``seen``.
+    """
+    for p, q in itertools.combinations(range(len(ts)), 2):
+        key = (i, tuple(
+            tuple(x for x in fiber if ts[p].components[a][x] == ts[q].components[a][x])
+            for a, fiber in enumerate(ts[p].source.values)
+        ))
+        if key not in seen:
+            seen.add(key)
+            yield p, q
+
+
 class _Builder:
     def __init__(self, base: FiniteCategory, flavor: str, bounds: Bounds):
         self.base = base
@@ -222,6 +271,8 @@ class _Builder:
         self.provenance: list[Provenance] = []
         self.events: list[str] = []
         self._seen_events: set[str] = set()
+        self._index: dict = {}  # exact structure -> stored index, see _first_iso
+        self._equalized: set = set()  # see _unseen_equalizers
 
     def full(self) -> bool:
         return len(self.objects) >= self.bounds.max_objects
@@ -232,9 +283,10 @@ class _Builder:
             self.events.append(event)
 
     def add(self, M: ps.Presheaf, prov: Provenance) -> Optional[int]:
-        for i, N in enumerate(self.objects):
-            if M.fiber_sizes() == N.fiber_sizes() and ps.find_iso(M, N) is not None:
-                return i
+        # a rejected add is not recorded, so a retry notes its own bound event
+        key, i = _first_iso(self.objects, self._index, M)
+        if i is not None:
+            return i
         if self.full():
             self.note(f"max_objects at {prov.kind}")
             return None
@@ -243,6 +295,7 @@ class _Builder:
             return None
         self.objects.append(_relabelled(M, f"M{len(self.objects)}"))
         self.provenance.append(prov)
+        self._index[key] = len(self.objects) - 1
         return len(self.objects) - 1
 
     def guarded(self, thunk, prov: Provenance) -> Optional[int]:
@@ -282,7 +335,9 @@ class _Builder:
                 break
             for (j, N) in snapshot:
                 ts = self.bounded_homs(M, N, f"equalizers M{i} => M{j}")
-                for p, q in itertools.combinations(range(len(ts)), 2):
+                # a repeat would be found, or refused again by the same
+                # max_objects event: a subobject of M never trips max_fiber
+                for p, q in _unseen_equalizers(i, ts, self._equalized):
                     self.guarded(
                         lambda t=ts[p], u=ts[q]: ps.equalizer(t, u).apex,
                         Provenance("limit", f"equalizer of M{i} => M{j} ({p},{q})"),
@@ -435,7 +490,10 @@ def close(base: FiniteCategory, flavor: str, bounds: Bounds = Bounds()) -> Concr
     """Alternate finite-limit closure and flavor-colimit closure to a fixpoint.
 
     Saturation is reported honestly: if an iteration cap or a size bound
-    trips, the completion is returned truncated and flagged.
+    trips, the completion is returned truncated and flagged.  Repeats are
+    skipped, an equalizer by its source and agreeing elements and a lookup
+    by its exact structure; this never changes which object is stored or
+    which provenance it gets.
     """
     if flavor not in FLAVORS or flavor == "fam_f":
         raise ValidationError(f"close() accepts flavors {FLAVORS[:-1]}")
@@ -603,7 +661,10 @@ def verify_axioms(E: ConcreteCompletion, scope: Optional[Sequence[int]] = None, 
 
     ``scope`` restricts the objects quantified over (so a bounded
     materialization is judged on the region it actually closed); defaults
-    to every object.  Each failed check carries a witness.
+    to every object.  Each failed check carries a witness.  An equalizer
+    whose source and agreeing elements repeat an earlier one is skipped,
+    and each pair's coproduct is built once; neither changes a verdict or
+    a witness.
     """
     flavor = flavor or E.flavor
     scope = list(scope) if scope is not None else list(range(len(E.objects)))
@@ -614,6 +675,11 @@ def verify_axioms(E: ConcreteCompletion, scope: Optional[Sequence[int]] = None, 
         checks[name] = {"passed": passed, "witness": witness}
 
     base = E.base
+
+    @functools.cache
+    def coproduct(i: int, j: int) -> ps.PresheafCocone:
+        return ps.coproduct(base, [E.objects[i], E.objects[j]])
+
     if "limits" in names:
         witness = None
         if E.find_object(ps.terminal_presheaf(base)) is None:
@@ -625,10 +691,11 @@ def verify_axioms(E: ConcreteCompletion, scope: Optional[Sequence[int]] = None, 
                     witness = f"product M{i} x M{j}"
                     break
         if witness is None:
+            equalized: set = set()  # a repeat of a found equalizer is found again
             for i in scope:
                 for j in scope:
                     ts = ps.hom_set(E.objects[i], E.objects[j])
-                    for p, q in itertools.combinations(range(len(ts)), 2):
+                    for p, q in _unseen_equalizers(i, ts, equalized):
                         if E.find_object(ps.equalizer(ts[p], ts[q]).apex) is None:
                             witness = f"equalizer of M{i} => M{j} ({p},{q})"
                             break
@@ -713,7 +780,7 @@ def verify_axioms(E: ConcreteCompletion, scope: Optional[Sequence[int]] = None, 
             witness = "initial"
         if witness is None:
             for i, j in itertools.combinations_with_replacement(scope, 2):
-                if E.find_object(ps.coproduct(base, [E.objects[i], E.objects[j]]).apex) is None:
+                if E.find_object(coproduct(i, j).apex) is None:
                     witness = f"coproduct M{i} + M{j}"
                     break
         record("coproducts", witness is None, witness)
@@ -721,7 +788,7 @@ def verify_axioms(E: ConcreteCompletion, scope: Optional[Sequence[int]] = None, 
     if "coproducts_disjoint" in names:
         witness = None
         for i, j in itertools.combinations_with_replacement(scope, 2):
-            cp = ps.coproduct(base, [E.objects[i], E.objects[j]])
+            cp = coproduct(i, j)
             if not (cp.legs[0].is_pointwise_injective() and cp.legs[1].is_pointwise_injective()):
                 witness = f"injections of M{i} + M{j} not monic"
                 break
@@ -738,7 +805,7 @@ def verify_axioms(E: ConcreteCompletion, scope: Optional[Sequence[int]] = None, 
     if "coproducts_universal" in names:
         witness = None
         for i, j in itertools.combinations_with_replacement(scope, 2):
-            cp = ps.coproduct(base, [E.objects[i], E.objects[j]])
+            cp = coproduct(i, j)
             k = E.find_object(cp.apex)
             if k is None:
                 continue

@@ -271,10 +271,10 @@ def is_flat(F, diagrams=None, bound: int = 0) -> FlatVerdict:
         lim = composite_limit(F, diagram)
         comps = []
         for b in range(B.n_objects):
-            comp = {}
+            comp, fiber = {}, set(lim.apex.values[b])
             for (c, w, u) in co.values[b]:
                 comp[(c, w, u)] = tuple(F.morphisms[leg].components[b][u] for leg in w)
-                if comp[(c, w, u)] not in set(lim.apex.values[b]):
+                if comp[(c, w, u)] not in fiber:
                     raise ValidationError("internal: comparison map leaves the limit")
             comps.append(comp)
         cmp_nat = ps.NatTransformation(co, lim.apex, tuple(comps))

@@ -46,8 +46,8 @@ class Presheaf:
             raise ValidationError("presheaf tables sized wrong")
         _check_fibers(self.values, self.cap, f"in presheaf {self.name}")
         for f in range(C.n_morphisms):
-            act, dom, cod = self.actions[f], self.values[C.tgt[f]], self.values[C.src[f]]
-            if set(act.keys()) != set(dom) or any(y not in set(cod) for y in act.values()):
+            act, dom, cod = self.actions[f], self.values[C.tgt[f]], set(self.values[C.src[f]])
+            if set(act.keys()) != set(dom) or any(y not in cod for y in act.values()):
                 raise ValidationError(f"action of {C.morphisms[f]} is not a map of the right fibers")
         for a in range(C.n_objects):
             e = C.identity[a]
@@ -96,8 +96,8 @@ class SetFunctor:
             raise ValidationError("functor tables sized wrong")
         _check_fibers(self.values, self.cap, f"in functor {self.name}")
         for f in range(C.n_morphisms):
-            act, dom, cod = self.actions[f], self.values[C.src[f]], self.values[C.tgt[f]]
-            if set(act.keys()) != set(dom) or any(y not in set(cod) for y in act.values()):
+            act, dom, cod = self.actions[f], self.values[C.src[f]], set(self.values[C.tgt[f]])
+            if set(act.keys()) != set(dom) or any(y not in cod for y in act.values()):
                 raise ValidationError(f"action of {C.morphisms[f]} is not a map of the right fibers")
         for a in range(C.n_objects):
             e = C.identity[a]
@@ -179,10 +179,8 @@ class NatTransformation:
         if len(self.components) != C.n_objects:
             raise ValidationError("one component per object required")
         for a in range(C.n_objects):
-            comp = self.components[a]
-            if set(comp.keys()) != set(M.values[a]) or any(
-                y not in set(N.values[a]) for y in comp.values()
-            ):
+            comp, cod = self.components[a], set(N.values[a])
+            if set(comp.keys()) != set(M.values[a]) or any(y not in cod for y in comp.values()):
                 raise ValidationError(f"component at {C.objects[a]} is not a map of the right fibers")
         for f in range(C.n_morphisms):
             a, b = C.src[f], C.tgt[f]

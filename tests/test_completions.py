@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from catengine import fincat as fc
@@ -7,6 +9,7 @@ from catengine import presheaf as ps
 from catengine import flatness as fl
 from catengine import virtlim as vl
 from catengine import completions as cp
+from catengine import cli
 from catengine.errors import NotWeaklyLex, ValidationError
 from conftest import hom_functor
 
@@ -241,3 +244,123 @@ def test_image_presentation_is_strictly_smaller_than_closure(cats):
     assert direct.find_object(double) is None
     closed = cp.close(PAR, "pret", cp.Bounds(max_objects=20, max_iterations=2, max_fiber=12))
     assert closed.find_object(double) is not None
+
+
+# -- lookups by exact structure ------------------------------------------------
+
+
+def _linear_scan(objects, M):
+    """The lookup the memo stands in for: the first stored object iso to M."""
+    for i, N in enumerate(objects):
+        if M.fiber_sizes() == N.fiber_sizes() and ps.find_iso(M, N) is not None:
+            return i
+    return None
+
+
+def _renamed(M):
+    """M with every element renamed and every fiber in reverse order."""
+    values = tuple(tuple(("r", x) for x in reversed(fiber)) for fiber in M.values)
+    actions = tuple({("r", x): ("r", y) for x, y in act.items()} for act in M.actions)
+    return ps.Presheaf(M.base, values, actions, name=f"{M.name}'")
+
+
+def _refilled(E):
+    """A builder holding E's objects, in order, with a fresh lookup memo."""
+    b = cp._Builder(E.base, E.flavor, E.bounds)
+    for M, prov in zip(E.objects, E.provenance):
+        b.add(M, prov)
+    assert len(b.objects) == len(E.objects)
+    return b
+
+
+@pytest.mark.parametrize("build", ["fam_f CHAIN3", "reg ARROW"])
+def test_lookup_matches_linear_scan(cats, build):
+    flavor, name = build.split()
+    C = cats[name]
+    E = cp.fam_f(C, 3) if flavor == "fam_f" else cp.close(C, flavor)
+    copies = [_renamed(M) for M in E.objects]
+    # every presheaf with fibers of at most two elements, stored or not
+    small = [ps.Presheaf(C, F.values, F.actions) for F in ps.enumerate_set_functors(fc.opposite(C), 2)]
+    probes = copies + small
+    expected = [_linear_scan(E.objects, P) for P in probes]
+    assert expected[: len(copies)] == list(range(len(copies)))
+    assert None in expected
+    # only an object with a fiber of two or more has copies of another structure
+    if any(len(fiber) > 1 for M in E.objects for fiber in M.values):
+        assert any(cp._structure(P) != cp._structure(M) for P, M in zip(copies, E.objects))
+    b = _refilled(E)
+    for P, k in zip(probes, expected):
+        assert E.find_object(P) == k
+        assert E.find_object(P) == k
+        assert cp._first_iso(b.objects, b._index, P)[1] == k
+        if k is not None:
+            assert b.add(P, cp.Provenance("limit", "probe")) == k
+    assert len(b.objects) == len(E.objects)
+
+
+def test_repeated_lookup_skips_find_iso(cats, monkeypatch):
+    E = cp.fam_f(cats["CHAIN3"], 3)
+    b = _refilled(E)
+    real, calls = ps.find_iso, []
+    monkeypatch.setattr(ps, "find_iso", lambda M, N: calls.append((M, N)) or real(M, N))
+    # the last object whose renamed copy differs from it in structure
+    last = max(k for k, M in enumerate(E.objects) if cp._structure(_renamed(M)) != cp._structure(M))
+    for lookup in (E.find_object, lambda M: b.add(M, cp.Provenance("limit", "probe"))):
+        before = len(calls)
+        assert lookup(_renamed(E.objects[last])) == last
+        first = len(calls) - before
+        assert first > 0
+        assert lookup(_renamed(E.objects[last])) == last
+        assert len(calls) - before == first
+
+
+# sha256 of exit code, newline and stdout, computed before lookups were memoised
+CLI_DIGESTS = {
+    "build-completion ONE reg/direct": "1d38272366f9ace4da352e8171009976514c7e056287b7dce28c63a449249e93",
+    "build-completion ONE pret/direct": "6cbba44f122dbab76704bc688576f493f916ea542c3257acdcce4a24dee8648c",
+    "build-completion ONE lext/close": "84e6a443e37feb6b2dc641dbf8e9e175e9e7d0f4f85782258b2ff12adf1a07ce",
+    "build-completion ONE fam_f/direct": "28e372139a12040d4e752151e6f18188a9ee2bd546869cbd85b60fb3f2aeb34c",
+    "verify-axioms ONE fam_f": "8238844bc5687e2190c5154f7147fe70980040b53867650372fc8a469dcc30ef",
+    "build-completion ARROW reg/direct": "ffe8a381bada13275b8cfb4fecad2fe9cf1612e2fc04391c0f84bd1100faff9a",
+    "build-completion ARROW pret/direct": "ec6c542c35290e5b19eb6e74b890200f3f8d5f1040ad69a564450b41a8651a07",
+    "build-completion ARROW lext/close": "5f5fa729c5b53cb4b411b9e130ed7967b21fc9efd479ca4b6d0e1ea218083bc9",
+    "build-completion ARROW fam_f/direct": "64977fb14b7baef87299d483d74ec7abb39e8942370e803adfdcb1f6bdce6c9c",
+    "verify-axioms ARROW fam_f": "ca32796edab0734cf31c70779466aeed0b19ef4403114b6ec71291916adf1d70",
+    "build-completion PAR reg/direct": "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    "build-completion PAR pret/direct": "e3663011b1d287a952bf529da9dd596c49d8ac8c06683829920e8b0a9a1df738",
+    "build-completion PAR lext/close": "4701c3077f7b093ea4f496e31ad3dfc2e9b52c2e56a71c763491f34d89ba576b",
+    "build-completion PAR fam_f/direct": "594c76aab00a1146ba5dc471f17a148a382419f77c07d5fe23ab620a7e611f07",
+    "verify-axioms PAR fam_f": "f844973e43f62277a3e9c1277b8894a0eae3394e7052bc6706da1c8aec9771bc",
+    "build-completion DISC2 reg/direct": "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    "build-completion DISC2 pret/direct": "b4ade0ca224fa3c88488a5ecdbbcef90c943a3e193914e95b780452c4e47189e",
+    "build-completion DISC2 lext/close": "2c13a6e4b4f95decd5fa3a9f7694b608fcd3fdca80835e37cdd4ac578384a888",
+    "build-completion DISC2 fam_f/direct": "ebd088aebb352cd9c65560ce55d574b868190df26b86d0050cacacf0cf01a7ed",
+    "verify-axioms DISC2 fam_f": "b07586278270ea64d5683e5c05cad0d80bb6bbd75b5b4f450dbed0908d42fc9f",
+    "build-completion Z2 reg/direct": "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    "build-completion Z2 pret/direct": "896168f438e3ddb8a5ff99ee05c40c3455901bcf3cfcad2892f289492bcef8d1",
+    "build-completion Z2 lext/close": "74e074c30d8eb06e39e96302af0d28acb8e16a2d39215cc961a4d76841cfa29b",
+    "build-completion Z2 fam_f/direct": "1e62fe0dc4361056126a1df43934c0deb7ec20c5ca195707abfc01115f0c2444",
+    "verify-axioms Z2 fam_f": "dedc6363c45e76c86e83cc7dff0a9b7fcb9188b7b79c5d43f66c6b8e10022ab4",
+    "build-completion CHAIN3 reg/direct": "8d690134cb8c1b6267bbbf151997c92b96c18d43d023a43fd17d7149f7303a2d",
+    "build-completion CHAIN3 pret/direct": "ba8aaab24d40df48200b20a56174213d5dd355e25a83e66cf9b493a0fbfba0fe",
+    "build-completion CHAIN3 lext/close": "693ca485ba2653652ce068b74b800d4133c266beed717227a343bc5e195e1f81",
+    "build-completion CHAIN3 fam_f/direct": "280440d7162578fd727802dfc2faafa8e681e9b943f0368c177bdb1073a239ff",
+    "verify-axioms CHAIN3 fam_f": "42cdc00864d1fded6e8a42459044fa26eea972bb5a027de55a9dd7ee13f962f1",
+    "build-completion SPLIT reg/direct": "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    "build-completion SPLIT pret/direct": "21f714b8ab701c5eca084f744237ae74ca1ae23f5c8bc3b42a5bafe24bd6c8c0",
+    "build-completion SPLIT lext/close": "6bd061a52e39ca04adb8d5ffbb0c353606125eb8b95d1b58b4098b5deb3de224",
+    "build-completion SPLIT fam_f/direct": "83f17d5cee7b280d166fb54c110ee36f68a6ceb5fd4f6956a55db6627e28dd0c",
+    "verify-axioms SPLIT fam_f": "a47b796b03c989d0db075d7c4b856c615cb7ba742e2d7b2161a4461d1a35d14f",
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLI_DIGESTS))
+def test_cli_completion_reports_pinned(case, capsys):
+    command, name, construction = case.split()
+    flavor, _, construction = construction.partition("/")
+    argv = [command, "--category", name, "--flavor", flavor]
+    if construction:
+        argv += ["--construction", construction]
+    code = cli.main(argv)
+    out = capsys.readouterr().out
+    assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == CLI_DIGESTS[case]
