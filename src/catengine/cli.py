@@ -8,6 +8,7 @@ configurations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -69,11 +70,21 @@ def load_set_functor(path: str, cat: fc.FiniteCategory) -> ps.SetFunctor:
 
 
 def parse_bounds(text: str | None, seed: int) -> cp.Bounds:
+    """``key=int,...`` over the fields of ``Bounds``; anything else is an input error."""
     kwargs = {"seed": seed}
+    names = [f.name for f in dataclasses.fields(cp.Bounds)]
     if text:
         for part in text.split(","):
-            k, _, v = part.partition("=")
-            kwargs[k.strip()] = int(v)
+            k, eq, v = part.partition("=")
+            k = k.strip()
+            if not eq:
+                raise ValidationError(f"bound {part!r} is not of the form key=value")
+            if k not in names:
+                raise ValidationError(f"unknown bound {k!r}; known: {', '.join(names)}")
+            try:
+                kwargs[k] = int(v)
+            except ValueError:
+                raise ValidationError(f"bound {k} needs an integer, got {v!r}") from None
     return cp.Bounds(**kwargs)
 
 

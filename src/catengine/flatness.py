@@ -10,6 +10,11 @@ All functor targets are concrete over a presheaf category: limits are
 computed pointwise and regular epimorphisms are pointwise surjections.
 Comparison maps are always constructed element by element, never inferred
 from cardinalities.
+
+Functors are validated where they enter: a ``ConcreteFunctor`` given by a
+caller is checked in full.  Only images of validated functors skip the
+check: the conversion of a (validated) ``SetFunctor`` and the composite of
+a functor with a diagram in ``composite_limit``.
 """
 from __future__ import annotations
 
@@ -58,15 +63,22 @@ class FlatVerdict:
 
 @dataclass(frozen=True, eq=False)
 class ConcreteFunctor:
-    """A functor into a full subcategory of presheaves over ``target_base``."""
+    """A functor into a full subcategory of presheaves over ``target_base``.
+
+    The functor laws are checked on construction.  ``check=False`` is for
+    images of validated functors only (see ``from_set_functor``).
+    """
 
     source: FiniteCategory
     target_base: FiniteCategory
     objects: tuple[ps.Presheaf, ...]
     morphisms: tuple[ps.NatTransformation, ...]
     name: str = field(default="F", compare=False)
+    check: bool = field(default=True, compare=False)
 
     def __post_init__(self):
+        if not self.check:
+            return
         C = self.source
         if len(self.objects) != C.n_objects or len(self.morphisms) != C.n_morphisms:
             raise ValidationError("functor tables sized wrong")
@@ -89,6 +101,9 @@ class ConcreteFunctor:
 
     @classmethod
     def from_set_functor(cls, F: ps.SetFunctor) -> "ConcreteFunctor":
+        """The same functor into presheaves on the point, not re-validated:
+        a ``SetFunctor`` has already proved the identity and composition
+        laws that ``__post_init__`` would check again."""
         objs = tuple(
             ps.Presheaf(POINT_BASE, (F.values[a],), ({x: x for x in F.values[a]},), name=f"{F.name}({F.base.objects[a]})")
             for a in range(F.base.n_objects)
@@ -97,7 +112,7 @@ class ConcreteFunctor:
             ps.NatTransformation(objs[F.base.src[m]], objs[F.base.tgt[m]], (dict(F.actions[m]),), check=False)
             for m in range(F.base.n_morphisms)
         )
-        return cls(F.base, POINT_BASE, objs, mors, name=F.name)
+        return cls(F.base, POINT_BASE, objs, mors, name=F.name, check=False)
 
 
 def _as_concrete(F) -> ConcreteFunctor:
@@ -109,11 +124,17 @@ def _as_concrete(F) -> ConcreteFunctor:
 
 
 def composite_limit(F: ConcreteFunctor, diagram: Diagram) -> ps.PresheafCone:
-    """The pointwise limit of ``F`` composed with a diagram in its source."""
+    """The pointwise limit of ``F`` composed with a diagram in its source.
+
+    The composite is not re-validated: ``F`` and the diagram's body are
+    both validated (or, for ``from_set_functor``, images of a validated
+    functor), and a composite of functors is a functor.
+    """
     S = diagram.shape
     vertices = tuple(F.objects[diagram.vertex(d)] for d in range(S.n_objects))
     edges = tuple(F.morphisms[diagram.body.morphism_map[s]] for s in range(S.n_morphisms))
-    return ps.limit(ps.PresheafDiagram(S, vertices, edges), base=F.target_base, name=f"lim F{diagram.describe()}")
+    composite = ps.PresheafDiagram(S, vertices, edges, check=False)
+    return ps.limit(composite, base=F.target_base, name=f"lim F{diagram.describe()}")
 
 
 def comparison_from_cone(F: ConcreteFunctor, cone: Cone, lim: ps.PresheafCone) -> ps.NatTransformation:

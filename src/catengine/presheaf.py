@@ -283,8 +283,11 @@ class PresheafDiagram:
     shape: FiniteCategory
     vertices: tuple[Presheaf, ...]
     edges: tuple[NatTransformation, ...]
+    check: bool = field(default=True, compare=False)
 
     def __post_init__(self):
+        if not self.check:
+            return
         S = self.shape
         if len(self.vertices) != S.n_objects or len(self.edges) != S.n_morphisms:
             raise ValidationError("diagram tables sized wrong")

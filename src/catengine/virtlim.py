@@ -6,6 +6,7 @@ a finite-family cover (fc-limit), a multi-finite limit, or a polylimit.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Optional
@@ -28,6 +29,7 @@ class VirtualLimit:
     diagram: Diagram
     weight: ps.Presheaf
     cone_index: dict  # (object, weight element) -> Cone
+    detected: dict = field(default_factory=dict, repr=False)  # detector name -> result
 
     def __post_init__(self):
         C = self.diagram.target
@@ -111,6 +113,26 @@ def weight_elements_category(v: VirtualLimit) -> FiniteCategory:
     return opposite(elements_category(presheaf_as_covariant(v.weight)))
 
 
+def _per_limit(detector):
+    """Compute ``detector(v)`` once per virtual limit and store it on ``v``.
+
+    A detector's answer depends on the weight alone, and ``virtual_limit``
+    hands back the same object for the same diagram.  Callers get the
+    stored result itself and must not mutate it.
+    """
+
+    name = detector.__name__
+
+    @functools.wraps(detector)
+    def memoised(v: VirtualLimit):
+        if name not in v.detected:
+            v.detected[name] = detector(v)
+        return v.detected[name]
+
+    return memoised
+
+
+@_per_limit
 def weak_limit(v: VirtualLimit) -> Optional[tuple[int, Cone]]:
     """An object whose representable covers the weight, with its cone."""
     C = v.diagram.target
@@ -122,6 +144,7 @@ def weak_limit(v: VirtualLimit) -> Optional[tuple[int, Cone]]:
     return None
 
 
+@_per_limit
 def multilimit(v: VirtualLimit) -> Optional[list[tuple[int, Cone]]]:
     """The finite family through which every cone factors uniquely, if any.
 
@@ -146,6 +169,7 @@ def multilimit(v: VirtualLimit) -> Optional[list[tuple[int, Cone]]]:
     return [(c, v.cone_index[(c, w)]) for (c, w) in family]
 
 
+@_per_limit
 def fc_limit(v: VirtualLimit) -> list[tuple[int, Cone]]:
     """A minimum-size family of cones jointly covering every cone."""
     elems = v.elements()
@@ -184,6 +208,7 @@ class PolyMember:
     automorphisms: tuple[int, ...]
 
 
+@_per_limit
 def polylimit(v: VirtualLimit) -> Optional[list[PolyMember]]:
     """A family with factorizations unique up to unique automorphism.
 
@@ -206,7 +231,7 @@ def polylimit(v: VirtualLimit) -> Optional[list[PolyMember]]:
                     break
                 for h in homs:
                     orbit = [C.table[g][h] for g in auts]
-                    if sorted(map(repr, orbit)) != sorted(map(repr, set(orbit))) or set(orbit) != set(homs):
+                    if len(set(orbit)) != len(orbit) or set(orbit) != set(homs):
                         ok = False
                         break
                 if not ok:
@@ -228,16 +253,20 @@ def generating_diagrams(cat: FiniteCategory) -> list[Diagram]:
     """Empty, distinct-parallel-pair and binary-pair diagrams.
 
     Parallel pairs come before products so that a category failing both
-    reports the sharper equalizer-style witness first.
+    reports the sharper equalizer-style witness first.  The sweep is built
+    once per category and kept in ``cat._cache``; each call returns a fresh
+    list.
     """
-    out = [empty_diagram(cat)]
-    for (u, u2) in cat.parallel_pairs():
-        if not cat.is_identity(u) or not cat.is_identity(u2):
-            out.append(parallel_pair_diagram(cat, u, u2))
-    for a in range(cat.n_objects):
-        for b in range(a, cat.n_objects):
-            out.append(pair_diagram(cat, a, b))
-    return out
+    if "generating_diagrams" not in cat._cache:
+        out = [empty_diagram(cat)]
+        for (u, u2) in cat.parallel_pairs():
+            if not cat.is_identity(u) or not cat.is_identity(u2):
+                out.append(parallel_pair_diagram(cat, u, u2))
+        for a in range(cat.n_objects):
+            for b in range(a, cat.n_objects):
+                out.append(pair_diagram(cat, a, b))
+        cat._cache["generating_diagrams"] = tuple(out)
+    return list(cat._cache["generating_diagrams"])
 
 
 def _free_dag_category(n: int, edges: tuple[tuple[int, int], ...]) -> FiniteCategory:
@@ -286,11 +315,17 @@ def diagrams_of_shape(shape: FiniteCategory, cat: FiniteCategory) -> list[Diagra
 
 
 def swept_diagrams(cat: FiniteCategory, bound: int) -> list[Diagram]:
-    """The generating diagrams plus every diagram on a small free shape."""
-    out = generating_diagrams(cat)
-    for shape in dag_shapes(bound):
-        out.extend(diagrams_of_shape(shape, cat))
-    return out
+    """The generating diagrams plus every diagram on a small free shape.
+
+    Kept per bound in ``cat._cache``, like ``generating_diagrams``.
+    """
+    key = ("swept_diagrams", bound)
+    if key not in cat._cache:
+        out = generating_diagrams(cat)
+        for shape in dag_shapes(bound):
+            out.extend(diagrams_of_shape(shape, cat))
+        cat._cache[key] = tuple(out)
+    return list(cat._cache[key])
 
 
 # -- completeness classification ---------------------------------------------

@@ -229,3 +229,19 @@ def test_orthogonality_command_success(run, tmp_path):
     assert code == 0
     results = json.loads(out)["results"]
     assert all(v["orthogonal"] and v["injective"] for v in results.values())
+
+
+@pytest.mark.parametrize("bounds", ["nonsense=3", "max_objects=abc", "max_objects"])
+def test_malformed_bounds_exit_two(bounds, capsys):
+    code = cli.main(["build-completion", "--category", "ONE", "--bounds", bounds])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("input error: ") and "max_objects" in err
+
+
+def test_check_flat_rejects_non_functor_file(run, tmp_path):
+    # the action of s must square to the identity on Z2; a constant one does not
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps({"name": "Bad", "values": {"*": ["a", "b"]}, "maps": {"s": {"a": "a", "b": "a"}}}))
+    code, out = run("check-flat", "--category", "Z2", "--functor", str(f))
+    assert code == 2 and out == ""

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
+
 import pytest
 
 from catengine import fincat as fc
 from catengine import presheaf as ps
 from catengine import flatness as fl
 from catengine import virtlim as vl
-from catengine.errors import NoMultilimit, NoWeakLimit
+from catengine.errors import NoMultiFiniteLimit, NoMultilimit, NoWeakLimit
 from conftest import hom_functor
 import oracles
 
@@ -137,3 +141,80 @@ def test_constant_at_terminal_into_completion_not_flat(cats):
     F = fl.ConcreteFunctor(PAR, PAR, objs, mors, name="const-terminal")
     v = fl.is_flat(F)
     assert not v.flat and v.failing_weight.diagram == "[A,B|u,v]"
+
+
+# -- the flat census ------------------------------------------------------------
+
+CENSUS_ROUTES = {
+    "definitional": fl.is_flat_set_valued,
+    "concrete": fl.is_flat,
+    "covering": fl.left_covering,
+    "multi": fl.finitely_multicontinuous,
+    "fc": fl.fc_continuous,
+    "merge": fl.merges_multi_finite,
+    "lex": fl.is_lex_set_valued,
+}
+
+
+def census_digest(C: fc.FiniteCategory, value_bound: int) -> str:
+    """sha256 of every route's verdicts (or the error a route raises) on
+    every set functor of ``C`` up to ``value_bound``, at sweeps 0 and 1."""
+    functors = list(ps.enumerate_set_functors(C, value_bound))
+    record = {"elements/0": [fl.is_flat_via_elements(F).to_json() for F in functors]}
+    for sweep in (0, 1):
+        for route, fn in CENSUS_ROUTES.items():
+            try:
+                record[f"{route}/{sweep}"] = [fn(F, bound=sweep).to_json() for F in functors]
+            except (NoWeakLimit, NoMultilimit, NoMultiFiniteLimit) as exc:
+                record[f"{route}/{sweep}"] = f"{type(exc).__name__}: {exc}"
+    return hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
+
+
+def census_value_bound(name: str) -> int:
+    return 3 if name in ("ONE", "ARROW", "DISC2", "Z2") else 2
+
+
+# equal under PYTHONHASHSEED 0, 1 and 2, and unchanged since set-functor
+# conversions and composite diagrams stopped being re-validated
+CENSUS_DIGESTS = {
+    "ONE": "4087c8719b1fb26ae25673beafe0f2932bfe9377cac5b581f0ec8594c032979c",
+    "ARROW": "8babe3b3622029cd872b0017b8b1d386694bf8216d834d6527132f4475a4d47c",
+    "PAR": "ef52bb740f7c8dfdab6fc7d0b8736f66b6d7c6774b7f839171eedb1b01760efe",
+    "DISC2": "314492edbefd7cc60c9194ab921ca0fa47fd9fb00c7c68e1d56233ac422a89cc",
+    "Z2": "4603f038504db3fa816d50e16ce5f461d47feaac56b69970315d888da56e00b2",
+    "CHAIN3": "8fb01a677fafd1fdad6a004bb4ef0110a41709b5be81a4be17777b6c406f2ee3",
+    "SPLIT": "3a0186da810bf91950c4b701811763d37bca426365ec9f57c1290cbd11228f74",
+}
+
+
+def test_flat_census_pinned(cats):
+    got = {name: census_digest(C, census_value_bound(name)) for name, C in cats.items()}
+    assert got == CENSUS_DIGESTS
+
+
+def test_trusted_images_revalidate(cats, monkeypatch):
+    # every functor and composite diagram built without re-validation
+    # during the census passes the full check when rebuilt with check=True
+    trusted = {"functors": 0, "composites": 0}
+    from_set_functor = fl.ConcreteFunctor.from_set_functor
+    composite_limit = fl.composite_limit
+
+    def checked_from_set_functor(cls, F):
+        out = from_set_functor(F)
+        assert not out.check
+        dataclasses.replace(out, check=True)
+        trusted["functors"] += 1
+        return out
+
+    def checked_composite_limit(F, diagram):
+        cone = composite_limit(F, diagram)
+        assert not cone.diagram.check
+        dataclasses.replace(cone.diagram, check=True)
+        trusted["composites"] += 1
+        return cone
+
+    monkeypatch.setattr(fl.ConcreteFunctor, "from_set_functor", classmethod(checked_from_set_functor))
+    monkeypatch.setattr(fl, "composite_limit", checked_composite_limit)
+    for name, C in cats.items():
+        census_digest(C, census_value_bound(name))
+    assert trusted["functors"] > 1000 and trusted["composites"] > 1000, trusted

@@ -75,6 +75,24 @@ def test_polylimit_examples(cats):
     assert vl.polylimit(vl.virtual_limit(PAR, fc.empty_diagram(PAR))) is None
 
 
+def test_polylimit_rejects_non_free_automorphisms():
+    # Aut(T) = {1, s} fixes the only arrow h: E -> T, so factorizations
+    # through T are not unique up to a unique automorphism
+    C = fc.validate_category({
+        "name": "FIXED",
+        "objects": ["E", "T"],
+        "morphisms": [
+            {"id": "1E", "src": "E", "tgt": "E"}, {"id": "1T", "src": "T", "tgt": "T"},
+            {"id": "s", "src": "T", "tgt": "T"}, {"id": "h", "src": "E", "tgt": "T"},
+        ],
+        "identities": {"E": "1E", "T": "1T"},
+        "compose": [{"g": "s", "f": "s", "result": "1T"}, {"g": "s", "f": "h", "result": "h"}],
+    })
+    empty = fc.empty_diagram(C)
+    assert vl.polylimit(vl.virtual_limit(C, empty)) is None
+    assert not oracles.polylimit_exists(empty)
+
+
 def test_multilimit_implies_trivial_polylimit(cats):
     for name, C in cats.items():
         for diagram in vl.generating_diagrams(C):
@@ -194,3 +212,45 @@ def test_multilimit_and_fc_covers_align(cats):
                 continue
             fcf = vl.fc_limit(v)
             assert len(fcf) == len(ml) == len(v.components()), (name, diagram.describe())
+
+
+MEMOISED_DETECTORS = (vl.weak_limit, vl.multilimit, vl.fc_limit, vl.polylimit)
+
+
+def test_detectors_memoised_per_virtual_limit(cats, monkeypatch):
+    calls = []
+    find_iso = ps.find_iso
+    monkeypatch.setattr(ps, "find_iso", lambda M, N: calls.append(1) or find_iso(M, N))
+    DISC2 = cats["DISC2"]
+    v = vl.virtual_limit(DISC2, fc.empty_diagram(DISC2))
+    fresh = vl.VirtualLimit(v.diagram, v.weight, v.cone_index)
+    first = vl.multilimit(fresh)
+    assert first is not None and len(calls) == 1
+    assert vl.multilimit(fresh) is first and vl.multi_finite_limit(fresh) is first
+    assert len(calls) == 1
+    for detector in MEMOISED_DETECTORS:
+        assert detector(fresh) is detector(fresh), detector.__name__
+
+
+def test_memoised_detectors_match_direct_computation(cats):
+    # a memo keyed by anything coarser than the virtual limit would hand one
+    # diagram's answer to another
+    for name, C in cats.items():
+        for diagram in vl.generating_diagrams(C):
+            v = vl.virtual_limit(C, diagram)
+            for detector in MEMOISED_DETECTORS:
+                fresh = vl.VirtualLimit(v.diagram, v.weight, v.cone_index)
+                assert detector(v) == detector.__wrapped__(fresh), (name, diagram.describe(), detector.__name__)
+
+
+def test_sweeps_are_fresh_lists(cats):
+    C = fc.validate_category(fc.category_to_json(cats["PAR"]))
+    swept = vl.swept_diagrams(C, 1)
+    generating = vl.generating_diagrams(C)
+    expected_swept, expected_generating = list(swept), list(generating)
+    assert len(expected_generating) < len(expected_swept)
+    swept.clear()
+    generating.append(generating[0])
+    assert vl.generating_diagrams(C) == expected_generating
+    assert vl.swept_diagrams(C, 1) == expected_swept
+    assert vl.swept_diagrams(C, 1)[: len(expected_generating)] == expected_generating
