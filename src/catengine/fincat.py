@@ -120,14 +120,6 @@ class FiniteCategory:
     def n_morphisms(self) -> int:
         return len(self.morphisms)
 
-    def compose(self, g: int, f: int) -> int:
-        c = self.table[g][f]
-        if c < 0:
-            raise ValidationError(
-                f"morphisms not composable: ({self.morphisms[g]}, {self.morphisms[f]})"
-            )
-        return c
-
     def composable(self, g: int, f: int) -> bool:
         return self.tgt[f] == self.src[g]
 

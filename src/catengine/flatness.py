@@ -18,7 +18,6 @@ a functor with a diagram in ``composite_limit``.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -79,25 +78,10 @@ class ConcreteFunctor:
     def __post_init__(self):
         if not self.check:
             return
-        C = self.source
-        if len(self.objects) != C.n_objects or len(self.morphisms) != C.n_morphisms:
-            raise ValidationError("functor tables sized wrong")
-        for m in range(C.n_morphisms):
-            t = self.morphisms[m]
-            if t.source is not self.objects[C.src[m]] or t.target is not self.objects[C.tgt[m]]:
-                raise ValidationError(f"image of {C.morphisms[m]} has bad endpoints")
-        for a in range(C.n_objects):
-            if self.morphisms[C.identity[a]].key() != ps.identity_nat(self.objects[a]).key():
-                raise ValidationError(f"image of the identity at {C.objects[a]} is not the identity")
-        for g in range(C.n_morphisms):
-            for f in range(C.n_morphisms):
-                c = C.table[g][f]
-                if c >= 0:
-                    comp = ps.compose_nats(self.morphisms[g], self.morphisms[f])
-                    if self.morphisms[c].key() != comp.key():
-                        raise ValidationError(
-                            f"functor breaks composition at ({C.morphisms[g]}, {C.morphisms[f]})"
-                        )
+        ps.check_functor_laws(self.source, self.objects, self.morphisms, "functor")
+        base = self.objects[0].base if self.objects else self.target_base
+        if base != self.target_base:
+            raise ValidationError(f"functor values live over {base.name}, not {self.target_base.name}")
 
     @classmethod
     def from_set_functor(cls, F: ps.SetFunctor) -> "ConcreteFunctor":
@@ -190,14 +174,11 @@ def is_flat_set_valued(F: ps.SetFunctor, diagrams=None, bound: int = 0) -> FlatV
         v = vl.virtual_limit(C, diagram)
         coend = ps.weighted_colimit(v.weight, F)
         S = diagram.shape
-        lim_elems = [
-            tup
-            for tup in itertools.product(*[F.values[diagram.vertex(d)] for d in range(S.n_objects)])
-            if all(
-                F.actions[diagram.body.morphism_map[s]][tup[S.src[s]]] == tup[S.tgt[s]]
-                for s in range(S.n_morphisms)
-            )
-        ]
+        lim_elems = ps.limit_of_sets(
+            S,
+            [F.values[diagram.vertex(d)] for d in range(S.n_objects)],
+            [F.actions[diagram.body.morphism_map[s]] for s in range(S.n_morphisms)],
+        )
         images = {}
         for rep in coend.elements:
             c, w, x = rep
@@ -247,25 +228,11 @@ def weighted_colimit_concrete(W: ps.Presheaf, F: ConcreteFunctor) -> tuple[ps.Pr
     C, B = F.source, F.target_base
     if W.base != C:
         raise ValidationError("weight must live on the functor's source")
-    reps, class_of = [], []
+    values, class_of = [], []
     for b in range(B.n_objects):
-        items = [
-            (c, w, u)
-            for c in range(C.n_objects)
-            for w in W.values[c]
-            for u in F.objects[c].values[b]
-        ]
-        idx = {it: i for i, it in enumerate(items)}
-        uf = ps._UnionFind(len(items))
-        for f in range(C.n_morphisms):
-            a, a2 = C.src[f], C.tgt[f]
-            for w in W.values[a2]:
-                wa = W.actions[f][w]
-                for u in F.objects[a].values[b]:
-                    uf.union(idx[(a, wa, u)], idx[(a2, w, F.morphisms[f].components[b][u])])
-        class_of.append({it: items[uf.find(i)] for it, i in idx.items()})
-        reps.append(tuple(it for i, it in enumerate(items) if uf.find(i) == i))
-    values = tuple(reps)
+        reps, cls = ps.coend(W, [M.values[b] for M in F.objects], [t.components[b] for t in F.morphisms])
+        values.append(reps)
+        class_of.append(cls)
     actions = []
     for f in range(B.n_morphisms):
         a, b = B.src[f], B.tgt[f]
@@ -273,7 +240,7 @@ def weighted_colimit_concrete(W: ps.Presheaf, F: ConcreteFunctor) -> tuple[ps.Pr
         for (c, w, u) in values[b]:
             act[(c, w, u)] = class_of[a][(c, w, F.objects[c].actions[f][u])]
         actions.append(act)
-    out = ps.Presheaf(B, values, tuple(actions), name=f"({W.name})*({F.name})")
+    out = ps.Presheaf(B, tuple(values), tuple(actions), name=f"({W.name})*({F.name})")
     return out, {b: class_of[b] for b in range(B.n_objects)}
 
 
@@ -381,22 +348,17 @@ def preserves_colimit(F: ps.SetFunctor, cocone) -> bool:
     """
     D = cocone.diagram
     S = D.shape
-    items = [(d, x) for d in range(S.n_objects) for x in F.values[D.vertex(d)]]
-    idx = {it: i for i, it in enumerate(items)}
-    uf = ps._UnionFind(len(items))
-    for s in range(S.n_morphisms):
-        d, d2 = S.src[s], S.tgt[s]
-        for x in F.values[D.vertex(d)]:
-            uf.union(idx[(d, x)], idx[(d2, F.actions[D.body.morphism_map[s]][x])])
-    classes: dict[int, set] = {}
-    for it, i in idx.items():
-        classes.setdefault(uf.find(i), set()).add(it)
-    images = []
-    for root, members in sorted(classes.items()):
-        imgs = {F.actions[cocone.legs[d]][x] for (d, x) in members}
-        if len(imgs) != 1:
+    _, class_of = ps.colimit_of_sets(
+        S,
+        [F.values[D.vertex(d)] for d in range(S.n_objects)],
+        [F.actions[D.body.morphism_map[s]] for s in range(S.n_morphisms)],
+    )
+    image_of: dict = {}
+    for (d, x), rep in class_of.items():
+        y = F.actions[cocone.legs[d]][x]
+        if image_of.setdefault(rep, y) != y:
             return False
-        images.append(next(iter(imgs)))
+    images = list(image_of.values())
     return len(set(images)) == len(images) and set(images) == set(F.values[cocone.apex])
 
 

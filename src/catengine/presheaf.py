@@ -3,8 +3,14 @@
 This is the computational model of the presheaf category: pointwise
 (co)limits, coends, image factorizations, natural-transformation search and
 isomorphism testing.  Value sets are plain tuples of hashable labels;
-actions are dictionaries.  Every quotient picks the least element in
-insertion order as representative so all outputs are reproducible.
+actions are dictionaries.
+
+Limits and quotients of finite sets are written once (``limit_of_sets``,
+``colimit_of_sets``, ``coend``, all over ``_classes``), and the presheaf
+(co)limits are them taken pointwise.  Every quotient picks the least
+element in insertion order as representative so all outputs are
+reproducible.  ``Presheaf`` and ``SetFunctor`` share one validator, and
+functors into presheaves (diagrams, concrete functors) one law check.
 """
 from __future__ import annotations
 
@@ -18,50 +24,52 @@ from .fincat import FiniteCategory, FunctorData, opposite
 FIBER_CAP = 64
 
 
-def _check_fibers(values, cap, where):
+def _check_tables(F, covariant: bool, kind: str) -> None:
+    """Check that ``F``'s tables are a functor on ``F.base`` of the given
+    variance; ``kind`` names ``F`` in the messages.
+
+    A morphism ``f`` acts from the fiber over ``dom[f]`` to the one over
+    ``cod[f]``, and ``g∘f`` acts as ``then∘first``.
+    """
+    C, values, actions, n = F.base, F.values, F.actions, F.base.n_morphisms
+    if len(values) != C.n_objects or len(actions) != n:
+        raise ValidationError(f"{kind} tables sized wrong")
+    where = f"in {kind} {F.name}"
     for fiber in values:
-        if len(fiber) > cap:
-            raise FiberCapExceeded(len(fiber), cap, where)
+        if len(fiber) > F.cap:
+            raise FiberCapExceeded(len(fiber), F.cap, where)
         if len(set(fiber)) != len(fiber):
             raise ValidationError(f"duplicate elements in a value set {where}")
+    dom, cod = (C.src, C.tgt) if covariant else (C.tgt, C.src)
+    for f in range(n):
+        act = actions[f]
+        if act.keys() != set(values[dom[f]]) or not set(values[cod[f]]).issuperset(act.values()):
+            raise ValidationError(f"action of {C.morphisms[f]} is not a map of the right fibers")
+    for a, e in enumerate(C.identity):
+        act = actions[e]
+        if any(act[x] != x for x in values[a]):
+            raise ValidationError(f"identity action at {C.objects[a]} is not the identity")
+    for g, row in enumerate(C.table):
+        for f in range(n):
+            c = row[f]
+            if c >= 0:
+                first, then = (f, g) if covariant else (g, f)
+                act_c, act_first, act_then = actions[c], actions[first], actions[then]
+                for x in values[dom[first]]:
+                    if act_c[x] != act_then[act_first[x]]:
+                        raise ValidationError(
+                            f"{'covariant' if covariant else 'contravariant'} functoriality fails"
+                            f" at ({C.morphisms[g]}, {C.morphisms[f]})"
+                        )
 
 
 @dataclass(frozen=True, eq=False)
-class Presheaf:
-    """Contravariant finite-set-valued functor on ``base``.
-
-    ``actions[f]`` for ``f: a -> b`` maps the value set at ``b`` to the one
-    at ``a``.
-    """
+class _SetTables:
+    """The value sets and actions of a finite-set-valued functor on ``base``."""
 
     base: FiniteCategory
     values: tuple[tuple[Hashable, ...], ...]
     actions: tuple[dict, ...]
-    name: str = field(default="M", compare=False)
-    cap: int = field(default=FIBER_CAP, compare=False)
-
-    def __post_init__(self):
-        C = self.base
-        if len(self.values) != C.n_objects or len(self.actions) != C.n_morphisms:
-            raise ValidationError("presheaf tables sized wrong")
-        _check_fibers(self.values, self.cap, f"in presheaf {self.name}")
-        for f in range(C.n_morphisms):
-            act, dom, cod = self.actions[f], self.values[C.tgt[f]], set(self.values[C.src[f]])
-            if set(act.keys()) != set(dom) or any(y not in cod for y in act.values()):
-                raise ValidationError(f"action of {C.morphisms[f]} is not a map of the right fibers")
-        for a in range(C.n_objects):
-            e = C.identity[a]
-            if any(self.actions[e][x] != x for x in self.values[a]):
-                raise ValidationError(f"identity action at {C.objects[a]} is not the identity")
-        for g in range(C.n_morphisms):
-            for f in range(C.n_morphisms):
-                c = C.table[g][f]
-                if c >= 0:
-                    for x in self.values[C.tgt[g]]:
-                        if self.actions[c][x] != self.actions[f][self.actions[g][x]]:
-                            raise ValidationError(
-                                f"contravariant functoriality fails at ({C.morphisms[g]}, {C.morphisms[f]})"
-                            )
 
     def at(self, a: int) -> tuple:
         return self.values[a]
@@ -77,50 +85,33 @@ class Presheaf:
 
 
 @dataclass(frozen=True, eq=False)
-class SetFunctor:
+class Presheaf(_SetTables):
+    """Contravariant finite-set-valued functor on ``base``.
+
+    ``actions[f]`` for ``f: a -> b`` maps the value set at ``b`` to the one
+    at ``a``.
+    """
+
+    name: str = field(default="M", compare=False)
+    cap: int = field(default=FIBER_CAP, compare=False)
+
+    def __post_init__(self):
+        _check_tables(self, False, "presheaf")
+
+
+@dataclass(frozen=True, eq=False)
+class SetFunctor(_SetTables):
     """Covariant finite-set-valued functor on ``base``.
 
     ``actions[f]`` for ``f: a -> b`` maps the value set at ``a`` to the one
     at ``b``.
     """
 
-    base: FiniteCategory
-    values: tuple[tuple[Hashable, ...], ...]
-    actions: tuple[dict, ...]
     name: str = field(default="F", compare=False)
     cap: int = field(default=FIBER_CAP, compare=False)
 
     def __post_init__(self):
-        C = self.base
-        if len(self.values) != C.n_objects or len(self.actions) != C.n_morphisms:
-            raise ValidationError("functor tables sized wrong")
-        _check_fibers(self.values, self.cap, f"in functor {self.name}")
-        for f in range(C.n_morphisms):
-            act, dom, cod = self.actions[f], self.values[C.src[f]], set(self.values[C.tgt[f]])
-            if set(act.keys()) != set(dom) or any(y not in cod for y in act.values()):
-                raise ValidationError(f"action of {C.morphisms[f]} is not a map of the right fibers")
-        for a in range(C.n_objects):
-            e = C.identity[a]
-            if any(self.actions[e][x] != x for x in self.values[a]):
-                raise ValidationError(f"identity action at {C.objects[a]} is not the identity")
-        for g in range(C.n_morphisms):
-            for f in range(C.n_morphisms):
-                c = C.table[g][f]
-                if c >= 0:
-                    for x in self.values[C.src[f]]:
-                        if self.actions[c][x] != self.actions[g][self.actions[f][x]]:
-                            raise ValidationError(
-                                f"covariant functoriality fails at ({C.morphisms[g]}, {C.morphisms[f]})"
-                            )
-
-    def at(self, a: int) -> tuple:
-        return self.values[a]
-
-    def apply(self, f: int, x):
-        return self.actions[f][x]
-
-    def total_size(self) -> int:
-        return sum(len(v) for v in self.values)
+        _check_tables(self, True, "functor")
 
     def as_presheaf(self) -> Presheaf:
         """The same data viewed contravariantly on the opposite base."""
@@ -131,24 +122,23 @@ def presheaf_as_covariant(M: Presheaf) -> SetFunctor:
     return SetFunctor(opposite(M.base), M.values, M.actions, name=M.name)
 
 
-def constant_set_functor(base: FiniteCategory, elements: Sequence = ("*",), name=None) -> SetFunctor:
+def _constant(cls, base: FiniteCategory, elements: Sequence, name):
+    # identity actions on one value set: the same tables for both variances
     elements = tuple(elements)
-    return SetFunctor(
+    return cls(
         base,
         tuple(elements for _ in range(base.n_objects)),
         tuple({x: x for x in elements} for _ in range(base.n_morphisms)),
         name=name or f"const{len(elements)}",
     )
+
+
+def constant_set_functor(base: FiniteCategory, elements: Sequence = ("*",), name=None) -> SetFunctor:
+    return _constant(SetFunctor, base, elements, name)
 
 
 def constant_presheaf(base: FiniteCategory, elements: Sequence = ("*",), name=None) -> Presheaf:
-    elements = tuple(elements)
-    return Presheaf(
-        base,
-        tuple(elements for _ in range(base.n_objects)),
-        tuple({x: x for x in elements} for _ in range(base.n_morphisms)),
-        name=name or f"const{len(elements)}",
-    )
+    return _constant(Presheaf, base, elements, name)
 
 
 def set_functor_from_functor_data(fd: FunctorData, decode) -> SetFunctor:
@@ -278,6 +268,29 @@ def discrete_category(n: int) -> FiniteCategory:
     return _DISCRETE_CACHE[n]
 
 
+def check_functor_laws(
+    C: FiniteCategory, objects: Sequence[Presheaf], morphisms: Sequence[NatTransformation], kind: str
+) -> None:
+    """Check that ``objects`` and ``morphisms`` are a functor from ``C`` into
+    the presheaves on one base; ``kind`` names it in the messages."""
+    if len(objects) != C.n_objects or len(morphisms) != C.n_morphisms:
+        raise ValidationError(f"{kind} tables sized wrong")
+    if any(M.base != objects[0].base for M in objects[1:]):
+        raise ValidationError(f"{kind} values live over different bases")
+    for m in range(C.n_morphisms):
+        t = morphisms[m]
+        if t.source is not objects[C.src[m]] or t.target is not objects[C.tgt[m]]:
+            raise ValidationError(f"image of {C.morphisms[m]} has bad endpoints")
+    for a in range(C.n_objects):
+        if morphisms[C.identity[a]].key() != identity_nat(objects[a]).key():
+            raise ValidationError(f"image of the identity at {C.objects[a]} is not the identity")
+    for g in range(C.n_morphisms):
+        for f in range(C.n_morphisms):
+            c = C.table[g][f]
+            if c >= 0 and morphisms[c].key() != compose_nats(morphisms[g], morphisms[f]).key():
+                raise ValidationError(f"{kind} breaks composition at ({C.morphisms[g]}, {C.morphisms[f]})")
+
+
 @dataclass(frozen=True, eq=False)
 class PresheafDiagram:
     shape: FiniteCategory
@@ -286,31 +299,8 @@ class PresheafDiagram:
     check: bool = field(default=True, compare=False)
 
     def __post_init__(self):
-        if not self.check:
-            return
-        S = self.shape
-        if len(self.vertices) != S.n_objects or len(self.edges) != S.n_morphisms:
-            raise ValidationError("diagram tables sized wrong")
-        base = None
-        for v in self.vertices:
-            if base is None:
-                base = v.base
-            elif v.base != base:
-                raise ValidationError("diagram vertices live over different bases")
-        for s in range(S.n_morphisms):
-            e = self.edges[s]
-            if e.source is not self.vertices[S.src[s]] or e.target is not self.vertices[S.tgt[s]]:
-                raise ValidationError("diagram edge endpoints disagree with the shape")
-        for s in range(S.n_morphisms):
-            if S.is_identity(s):
-                if self.edges[s].key() != identity_nat(self.vertices[S.src[s]]).key():
-                    raise ValidationError("diagram sends an identity to a non-identity")
-        for g in range(S.n_morphisms):
-            for f in range(S.n_morphisms):
-                c = S.table[g][f]
-                if c >= 0:
-                    if self.edges[c].key() != compose_nats(self.edges[g], self.edges[f]).key():
-                        raise ValidationError("diagram breaks composition")
+        if self.check:
+            check_functor_laws(self.shape, self.vertices, self.edges, "diagram")
 
     @property
     def base(self) -> FiniteCategory:
@@ -341,24 +331,18 @@ def limit(diagram: PresheafDiagram, base: Optional[FiniteCategory] = None, name=
     C = diagram.base or base
     if C is None:
         raise ValidationError("empty diagram needs an explicit base")
-    S = diagram.shape
-    values = []
-    for a in range(C.n_objects):
-        fams = []
-        for tup in itertools.product(*[v.values[a] for v in diagram.vertices]):
-            if all(
-                diagram.edges[s].components[a][tup[S.src[s]]] == tup[S.tgt[s]]
-                for s in range(S.n_morphisms)
-            ):
-                fams.append(tup)
-        values.append(tuple(fams))
+    S, V, E = diagram.shape, diagram.vertices, diagram.edges
+    values = tuple([
+        tuple(limit_of_sets(S, [v.values[a] for v in V], [e.components[a] for e in E]))
+        for a in range(C.n_objects)
+    ])
     actions = []
     for f in range(C.n_morphisms):
         act = {}
         for tup in values[C.tgt[f]]:
-            act[tup] = tuple(v.actions[f][x] for v, x in zip(diagram.vertices, tup))
+            act[tup] = tuple(v.actions[f][x] for v, x in zip(V, tup))
         actions.append(act)
-    L = Presheaf(C, tuple(values), tuple(actions), name=name)
+    L = Presheaf(C, values, tuple(actions), name=name)
     legs = tuple(
         NatTransformation(
             L, diagram.vertices[d],
@@ -391,34 +375,81 @@ class _UnionFind:
             self.parent[hi] = lo
 
 
+def _classes(items: list, pairs: list) -> tuple[tuple, dict]:
+    """The quotient of ``items`` by the equivalence that ``pairs`` generate:
+    the class representatives in list order, and each item's representative,
+    the least member of its class in list order."""
+    index = {it: i for i, it in enumerate(items)}
+    uf = _UnionFind(len(items))
+    for x, y in pairs:
+        uf.union(index[x], index[y])
+    # Each parent index is at most its child's, so one pass in index order
+    # resolves every root.
+    roots = uf.parent
+    for i, p in enumerate(roots):
+        roots[i] = roots[p]
+    reps = tuple([it for i, it in enumerate(items) if roots[i] == i])
+    return reps, dict(zip(items, [items[r] for r in roots]))
+
+
+def limit_of_sets(S: FiniteCategory, fibers: Sequence[Sequence], maps: Sequence[dict]) -> list[tuple]:
+    """The limit of finite sets ``fibers[d]`` and maps ``maps[s]`` over the
+    shape ``S``: the tuples that every map but the identities respects, in
+    ``itertools.product`` order."""
+    edges = [(S.src[s], S.tgt[s], maps[s]) for s in range(S.n_morphisms) if S.identity[S.src[s]] != s]
+    return [tup for tup in itertools.product(*fibers) if all(m[tup[i]] == tup[j] for i, j, m in edges)]
+
+
+def colimit_of_sets(S: FiniteCategory, fibers: Sequence[Sequence], maps: Sequence[dict]) -> tuple[tuple, dict]:
+    """The colimit of finite sets ``fibers[d]`` and maps ``maps[s]`` over the
+    shape ``S``: the pairs ``(d, x)`` with ``x`` in ``fibers[d]``, identified
+    along every map but the identities, as ``_classes`` returns them."""
+    items = [(d, x) for d in range(S.n_objects) for x in fibers[d]]
+    pairs = [
+        ((S.src[s], x), (S.tgt[s], y))
+        for s in range(S.n_morphisms) if S.identity[S.src[s]] != s
+        for x, y in maps[s].items()
+    ]
+    return _classes(items, pairs)
+
+
+def coend(W: Presheaf, fibers: Sequence[Sequence], maps: Sequence[dict]) -> tuple[tuple, dict]:
+    """The coend of the weight ``W`` with a covariant finite-set functor on
+    ``W.base``, given by its ``fibers`` and ``maps``, as ``_classes``.
+
+    Triples ``(c, w, x)`` with ``w`` in ``W(c)`` and ``x`` in ``fibers[c]``
+    are identified along ``(W(f)(w), x) ~ (w, maps[f](x))`` for
+    ``f: a -> b``; identities identify nothing and are skipped.
+    """
+    C = W.base
+    items = [(c, w, x) for c in range(C.n_objects) for w in W.values[c] for x in fibers[c]]
+    pairs = []
+    for f in range(C.n_morphisms):
+        a, b, act = C.src[f], C.tgt[f], W.actions[f]
+        if C.identity[a] != f:
+            pairs += [((a, act[w], x), (b, w, y)) for w in W.values[b] for x, y in maps[f].items()]
+    return _classes(items, pairs)
+
+
 def colimit(diagram: PresheafDiagram, base: Optional[FiniteCategory] = None, name="colim") -> PresheafCocone:
     """Pointwise colimit by disjoint union and quotient; injection legs."""
     C = diagram.base or base
     if C is None:
         raise ValidationError("empty diagram needs an explicit base")
-    S = diagram.shape
-    reps: list[tuple] = []
-    class_of: list[dict] = []
+    S, V, E = diagram.shape, diagram.vertices, diagram.edges
+    values, class_of = [], []
     for a in range(C.n_objects):
-        items = [(d, x) for d in range(S.n_objects) for x in diagram.vertices[d].values[a]]
-        idx = {it: i for i, it in enumerate(items)}
-        uf = _UnionFind(len(items))
-        for s in range(S.n_morphisms):
-            e = diagram.edges[s]
-            for x in diagram.vertices[S.src[s]].values[a]:
-                uf.union(idx[(S.src[s], x)], idx[(S.tgt[s], e.components[a][x])])
-        cls = {it: items[uf.find(i)] for it, i in idx.items()}
+        reps, cls = colimit_of_sets(S, [v.values[a] for v in V], [e.components[a] for e in E])
+        values.append(reps)
         class_of.append(cls)
-        reps.append(tuple(it for i, it in enumerate(items) if uf.find(i) == i))
-    values = tuple(reps)
     actions = []
     for f in range(C.n_morphisms):
         a, b = C.src[f], C.tgt[f]
         act = {}
         for (d, x) in values[b]:
-            act[(d, x)] = class_of[a][(d, diagram.vertices[d].actions[f][x])]
+            act[(d, x)] = class_of[a][(d, V[d].actions[f][x])]
         actions.append(act)
-    Q = Presheaf(C, values, tuple(actions), name=name)
+    Q = Presheaf(C, tuple(values), tuple(actions), name=name)
     legs = tuple(
         NatTransformation(
             diagram.vertices[d], Q,
@@ -491,52 +522,20 @@ class QuotientSet:
 
 
 def weighted_colimit(W: Presheaf, F: SetFunctor) -> QuotientSet:
-    """The colimit of ``F`` weighted by ``W``: the coend of ``W x F``.
-
-    Triples ``(c, w, x)`` with ``w`` in ``W(c)`` and ``x`` in ``F(c)`` are
-    identified along ``(W(f)(w), x) ~ (w, F(f)(x))`` for ``f: a -> b``.
-    """
-    C = W.base
-    if F.base != C:
+    """The colimit of ``F`` weighted by ``W``: the coend of ``W x F``."""
+    if F.base != W.base:
         raise ValidationError("weight and functor must share a base")
-    items = [
-        (c, w, x)
-        for c in range(C.n_objects)
-        for w in W.values[c]
-        for x in F.values[c]
-    ]
-    idx = {it: i for i, it in enumerate(items)}
-    uf = _UnionFind(len(items))
-    for f in range(C.n_morphisms):
-        a, b = C.src[f], C.tgt[f]
-        for w in W.values[b]:
-            wa = W.actions[f][w]
-            for x in F.values[a]:
-                uf.union(idx[(a, wa, x)], idx[(b, w, F.actions[f][x])])
-    class_of = {it: items[uf.find(i)] for it, i in idx.items()}
-    elements = tuple(it for i, it in enumerate(items) if uf.find(i) == i)
-    return QuotientSet(elements, class_of)
+    return QuotientSet(*coend(W, F.values, F.actions))
 
 
 # -- factorization, quotients, subobjects ------------------------------------
 
 
 def epi_mono_factorize(t: NatTransformation) -> tuple[NatTransformation, NatTransformation]:
-    """Split ``t`` as a pointwise surjection followed by a pointwise injection."""
-    M, N, C = t.source, t.target, t.source.base
-    hit = [set(t.components[a].values()) for a in range(C.n_objects)]
-    values = tuple(
-        tuple(y for y in N.values[a] if y in hit[a]) for a in range(C.n_objects)
-    )
-    actions = tuple(
-        {y: N.actions[f][y] for y in values[C.tgt[f]]} for f in range(C.n_morphisms)
-    )
-    image = Presheaf(C, values, actions, name=f"im({t.source.name})")
-    q = NatTransformation(M, image, t.components)
-    m = NatTransformation(
-        image, N, tuple({y: y for y in values[a]} for a in range(C.n_objects)), check=False
-    )
-    return q, m
+    """Split ``t`` as a pointwise surjection onto its image subpresheaf
+    followed by the inclusion."""
+    image, m = subpresheaf(t.target, [set(c.values()) for c in t.components], name=f"im({t.source.name})")
+    return NatTransformation(t.source, image, t.components), m
 
 
 def quotient_presheaf(M: Presheaf, pairs: Iterable[tuple[int, Hashable, Hashable]], name=None):
@@ -735,8 +734,7 @@ def find_iso(M: Presheaf, N: Presheaf) -> Optional[NatTransformation]:
 
 def find_set_functor_iso(F: SetFunctor, G: SetFunctor):
     """Natural isomorphism between covariant functors, if any."""
-    t = find_iso(F.as_presheaf(), G.as_presheaf())
-    return t
+    return find_iso(F.as_presheaf(), G.as_presheaf())
 
 
 def enumerate_set_functors(C: FiniteCategory, n: int, rng=None) -> Iterator[SetFunctor]:

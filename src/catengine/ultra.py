@@ -25,6 +25,7 @@ from .fincat import (
     colimit_in_category,
     full_subcategory,
     is_universal,
+    opposite,
 )
 from . import presheaf as ps
 
@@ -278,29 +279,16 @@ def _member_poset(uf: Ultrafilter) -> FiniteCategory:
     return cat
 
 
-def set_functor_product(Fs: Sequence[ps.SetFunctor], base: FiniteCategory) -> ps.SetFunctor:
-    values = tuple(
-        tuple(itertools.product(*[F.values[a] for F in Fs]))
-        for a in range(base.n_objects)
-    )
-    actions = tuple(
-        {tup: tuple(F.actions[f][x] for F, x in zip(Fs, tup)) for tup in values[base.src[f]]}
-        for f in range(base.n_morphisms)
-    )
-    return ps.SetFunctor(base, values, actions, name="x".join(F.name for F in Fs) or "1")
-
-
 def categorical_ultraproduct(base: FiniteCategory, family: Sequence[ps.SetFunctor], uf: Ultrafilter) -> ps.SetFunctor:
     """Filtered colimit of member-indexed products, computed pointwise."""
     members = uf.members
     X = uf.ground
     shape = _member_poset(uf)
-    vertices_cov = []
-    for S in members:
-        Fs = [family[X.index(x)] for x in sorted(S, key=repr)]
-        vertices_cov.append(set_functor_product(Fs, base))
-    vertices = tuple(F.as_presheaf() for F in vertices_cov)
-    op = vertices[0].base
+    op = opposite(base)
+    vertices = tuple(
+        ps.product(op, [family[X.index(x)].as_presheaf() for x in sorted(S, key=repr)]).apex
+        for S in members
+    )
     edges = []
     for s in range(shape.n_morphisms):
         i, j = shape.src[s], shape.tgt[s]

@@ -58,16 +58,17 @@ class VirtualLimit:
 
     def components(self) -> list[list[tuple[int, tuple]]]:
         elems = self.elements()
-        index = {e: i for i, e in enumerate(elems)}
-        uf = ps._UnionFind(len(elems))
-        for i, e1 in enumerate(elems):
-            for j, e2 in enumerate(elems):
-                if i < j and (self.arrows(e1, e2) or self.arrows(e2, e1)):
-                    uf.union(i, j)
-        comps: dict[int, list] = {}
-        for i, e in enumerate(elems):
-            comps.setdefault(uf.find(i), []).append(e)
-        return [comps[k] for k in sorted(comps)]
+        linked = [
+            (e1, e2)
+            for i, e1 in enumerate(elems)
+            for e2 in elems[i + 1:]
+            if self.arrows(e1, e2) or self.arrows(e2, e1)
+        ]
+        reps, class_of = ps._classes(elems, linked)
+        comps: dict = {rep: [] for rep in reps}
+        for e in elems:
+            comps[class_of[e]].append(e)
+        return list(comps.values())
 
 
 _VL_CACHE: dict[Diagram, VirtualLimit] = {}

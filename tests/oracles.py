@@ -135,6 +135,29 @@ def naive_quotient_classes(items, pairs):
     return classes
 
 
+def connected_components(items, pairs):
+    """Classes of the equivalence generated by ``pairs``, by breadth-first
+    search over the undirected graph they span; each class lists its
+    members in the order they are reached, starting from the first item."""
+    neighbours = {it: [] for it in items}
+    for (x, y) in pairs:
+        neighbours[x].append(y)
+        neighbours[y].append(x)
+    seen, classes = set(), []
+    for start in items:
+        if start in seen:
+            continue
+        seen.add(start)
+        component = [start]
+        for x in component:  # grows while it is read: a breadth-first queue
+            for y in neighbours[x]:
+                if y not in seen:
+                    seen.add(y)
+                    component.append(y)
+        classes.append(component)
+    return classes
+
+
 def coend_classes(W, F):
     """Coend of a presheaf weight against a covariant functor, naively."""
     C = W.base

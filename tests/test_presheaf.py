@@ -1,13 +1,18 @@
 from __future__ import annotations
 
+import collections
 import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from catengine import fincat as fc
+from catengine import flatness as fl
 from catengine import presheaf as ps
+from catengine import virtlim as vl
+from catengine.errors import FiberCapExceeded, ValidationError
 from conftest import hom_functor
+from test_fincat import dag_categories
 import oracles
 
 
@@ -331,3 +336,203 @@ def test_epi_mono_factorization_laws(cats, data):
     assert q.is_pointwise_surjective()
     assert m.is_pointwise_injective()
     assert ps.compose_nats(m, q).key() == t.key()
+
+
+# -- one validator for both variances -----------------------------------------
+
+ID2, SWAP, CONST0, CONST1 = {0: 0, 1: 1}, {0: 1, 1: 0}, {0: 0, 1: 0}, {0: 1, 1: 1}
+CHAIN3_WITH = lambda f02: (ID2, ID2, ID2, SWAP, CONST0, f02)  # i0, i1, i2, f01, f12, f02
+# u: A -> B between fibers ("a",) and ("b1", "b2"), in each direction
+ARROW_FIBERS = (("a",), ("b1", "b2"))
+ARROW_COVARIANT = ({"a": "a"}, {"b1": "b1", "b2": "b2"}, {"a": "b1"})
+ARROW_CONTRAVARIANT = ({"a": "a"}, {"b1": "b1", "b2": "b2"}, {"b1": "a", "b2": "a"})
+
+# case -> class -> (category, values, actions, keyword arguments, error, message);
+# the messages are the ones the separate validators gave before they merged
+TABLE_FAILURES = {
+    "sized wrong": {
+        cls: ("ARROW", (("a",),), ({"a": "a"}, {}, {}), {}, ValidationError, f"{kind} tables sized wrong")
+        for cls, kind in (("Presheaf", "presheaf"), ("SetFunctor", "functor"))
+    },
+    "duplicate element": {
+        cls: ("ONE", ((0, 0),), ({0: 0},), {}, ValidationError, f"duplicate elements in a value set in {where}")
+        for cls, where in (("Presheaf", "presheaf M"), ("SetFunctor", "functor F"))
+    },
+    "over the default cap": {
+        cls: ("ONE", (tuple(range(65)),), ({i: i for i in range(65)},), {}, FiberCapExceeded,
+              f"value set of size 65 exceeds cap 64 in {where}")
+        for cls, where in (("Presheaf", "presheaf M"), ("SetFunctor", "functor F"))
+    },
+    "over a given cap": {
+        cls: ("ONE", ((0, 1, 2),), ({0: 0, 1: 1, 2: 2},), {"cap": 2, "name": "X"}, FiberCapExceeded,
+              f"value set of size 3 exceeds cap 2 in {kind} X")
+        for cls, kind in (("Presheaf", "presheaf"), ("SetFunctor", "functor"))
+    },
+    "action of the wrong variance": {
+        "Presheaf": ("ARROW", ARROW_FIBERS, ARROW_COVARIANT, {}, ValidationError,
+                     "action of u is not a map of the right fibers"),
+        "SetFunctor": ("ARROW", ARROW_FIBERS, ARROW_CONTRAVARIANT, {}, ValidationError,
+                       "action of u is not a map of the right fibers"),
+    },
+    "action leaves its fiber": {
+        cls: ("ARROW", ARROW_FIBERS, ({"a": "a"}, {"b1": "b1", "b2": "b2"}, act), {}, ValidationError,
+              "action of u is not a map of the right fibers")
+        for cls, act in (("Presheaf", {"b1": "a", "b2": "z"}), ("SetFunctor", {"a": "z"}))
+    },
+    "identity not the identity": {
+        cls: ("ONE", ((0, 1),), (SWAP,), {}, ValidationError, "identity action at * is not the identity")
+        for cls in ("Presheaf", "SetFunctor")
+    },
+    "s∘s is not e": {
+        cls: ("Z2", ((0, 1),), (ID2, CONST0), {}, ValidationError, f"{variance} functoriality fails at (s, s)")
+        for cls, variance in (("Presheaf", "contravariant"), ("SetFunctor", "covariant"))
+    },
+    "f02 composed the other way": {
+        "Presheaf": ("CHAIN3", ((0, 1),) * 3, CHAIN3_WITH(CONST0), {}, ValidationError,
+                     "contravariant functoriality fails at (f12, f01)"),
+        "SetFunctor": ("CHAIN3", ((0, 1),) * 3, CHAIN3_WITH(CONST1), {}, ValidationError,
+                       "covariant functoriality fails at (f12, f01)"),
+    },
+}
+
+
+@pytest.mark.parametrize("cls", ["Presheaf", "SetFunctor"])
+@pytest.mark.parametrize("case", list(TABLE_FAILURES))
+def test_table_validation_messages(cats, case, cls):
+    name, values, actions, kwargs, error, message = TABLE_FAILURES[case][cls]
+    with pytest.raises(error) as info:
+        getattr(ps, cls)(cats[name], values, actions, **kwargs)
+    assert str(info.value) == message
+    assert type(info.value) is error
+
+
+def test_composites_follow_the_variance(cats):
+    # f02 = f12∘f01 acts as f12 after f01 on a functor and as f01 after f12
+    # on a presheaf; with f01 a swap and f12 constant the two differ, so each
+    # table is accepted in one variance only (the other is a TABLE_FAILURES case)
+    ps.SetFunctor(cats["CHAIN3"], ((0, 1),) * 3, CHAIN3_WITH(CONST0))
+    ps.Presheaf(cats["CHAIN3"], ((0, 1),) * 3, CHAIN3_WITH(CONST1))
+    F = ps.SetFunctor(cats["ARROW"], ARROW_FIBERS, ARROW_COVARIANT)
+    M = ps.Presheaf(cats["ARROW"], ARROW_FIBERS, ARROW_CONTRAVARIANT)
+    assert F.fiber_sizes() == M.fiber_sizes() == (1, 2) and F.total_size() == M.total_size() == 3
+
+
+# -- one law check for functors into presheaves ---------------------------------
+
+
+def _sets(base, k=2):
+    return ps.constant_presheaf(base, tuple(range(k)))
+
+
+def _nat(M, N, comp, check=True):
+    return ps.NatTransformation(M, N, (comp,), check=check)
+
+
+def _functor_into_sets(kind, C, objects, morphisms, target_base=None):
+    if kind == "diagram":
+        return ps.PresheafDiagram(C, tuple(objects), tuple(morphisms))
+    return fl.ConcreteFunctor(C, target_base or objects[0].base, tuple(objects), tuple(morphisms))
+
+
+def _law_cases(cats):
+    ONE, ARROW, CHAIN3, Z2 = (cats[n] for n in ("ONE", "ARROW", "CHAIN3", "Z2"))
+    A, B, Bz = _sets(ONE), _sets(ONE), _sets(Z2)
+    X = [_sets(ONE) for _ in range(3)]
+    chain = lambda f02: [ps.identity_nat(M) for M in X] + [
+        _nat(X[0], X[1], SWAP), _nat(X[1], X[2], SWAP), _nat(X[0], X[2], f02)]
+    arrow = lambda idA, u: [idA, ps.identity_nat(B), u]
+    return {
+        "sized wrong": (ARROW, [A], [ps.identity_nat(A)], "{kind} tables sized wrong"),
+        "different bases": (ARROW, [A, Bz], [ps.identity_nat(A), ps.identity_nat(Bz), _nat(A, Bz, ID2, check=False)],
+                            "{kind} values live over different bases"),
+        "bad endpoints": (ARROW, [A, B], arrow(ps.identity_nat(A), _nat(B, A, ID2)), "image of u has bad endpoints"),
+        "identity": (ARROW, [A, B], arrow(_nat(A, A, SWAP), _nat(A, B, ID2)),
+                     "image of the identity at A is not the identity"),
+        "composition": (CHAIN3, X, chain(SWAP), "{kind} breaks composition at (f12, f01)"),
+    }
+
+
+@pytest.mark.parametrize("kind", ["diagram", "functor"])
+@pytest.mark.parametrize("case", ["sized wrong", "different bases", "bad endpoints", "identity", "composition"])
+def test_functor_law_messages(cats, case, kind):
+    # ConcreteFunctor's messages, which name the morphism, are unchanged;
+    # PresheafDiagram's took them over, and "different bases" is new to
+    # ConcreteFunctor
+    C, objects, morphisms, message = _law_cases(cats)[case]
+    with pytest.raises(ValidationError) as info:
+        _functor_into_sets(kind, C, objects, morphisms)
+    assert str(info.value) == message.format(kind=kind)
+
+
+@pytest.mark.parametrize("kind", ["diagram", "functor"])
+def test_functor_laws_accept_a_functor(cats, kind):
+    C, X, _, _ = _law_cases(cats)["composition"]
+    morphisms = [ps.identity_nat(M) for M in X] + [
+        _nat(X[0], X[1], SWAP), _nat(X[1], X[2], SWAP), _nat(X[0], X[2], ID2)]
+    assert _functor_into_sets(kind, C, X, morphisms).check
+
+
+def test_concrete_functor_values_must_live_over_the_target_base(cats):
+    ONE, ARROW, PAR = cats["ONE"], cats["ARROW"], cats["PAR"]
+    A, B = _sets(ONE), _sets(ONE)
+    morphisms = [ps.identity_nat(A), ps.identity_nat(B), _nat(A, B, ID2)]
+    assert fl.ConcreteFunctor(ARROW, ONE, (A, B), tuple(morphisms)).target_base is ONE
+    with pytest.raises(ValidationError, match="^functor values live over ONE, not PAR$"):
+        fl.ConcreteFunctor(ARROW, PAR, (A, B), tuple(morphisms))
+
+
+# -- the finite-set kernels against independent oracles -----------------------
+
+
+def _assert_quotient(items, reps, class_of, classes):
+    """``reps``/``class_of`` partition ``items`` as ``classes`` do, each
+    class represented by its first member in list order."""
+    position = {it: i for i, it in enumerate(items)}
+    assert list(class_of) == list(items)
+    assert {frozenset(c) for c in classes} == {
+        frozenset(it for it in items if class_of[it] == rep) for rep in reps
+    }
+    assert list(reps) == sorted((min(c, key=position.get) for c in classes), key=position.get)
+    assert all(class_of[it] == min(c, key=position.get) for c in classes for it in c)
+
+
+def _check_kernels(C, F, seen):
+    """Every kernel on every generating diagram of ``C`` under ``F``."""
+    for diagram in vl.generating_diagrams(C):
+        S = diagram.shape
+        fibers = [F.values[diagram.vertex(d)] for d in range(S.n_objects)]
+        maps = [F.actions[diagram.body.morphism_map[s]] for s in range(S.n_morphisms)]
+        lim = ps.limit_of_sets(S, fibers, maps)
+        assert lim == oracles.finset_limit(diagram, F)
+        seen["limit empty" if not lim else "limit inhabited"] += 1
+        items = [(d, x) for d in range(S.n_objects) for x in fibers[d]]
+        pairs = [((S.src[s], x), (S.tgt[s], maps[s][x])) for s in range(S.n_morphisms) for x in fibers[S.src[s]]]
+        reps, class_of = ps.colimit_of_sets(S, fibers, maps)
+        _assert_quotient(items, reps, class_of, oracles.connected_components(items, pairs))
+        seen["colimit merges"] += len(reps) < len(items)
+        W = vl.virtual_limit(C, diagram).weight
+        reps, class_of = ps.coend(W, F.values, F.actions)
+        items = [(c, w, x) for c in range(C.n_objects) for w in W.values[c] for x in F.values[c]]
+        _assert_quotient(items, reps, class_of, oracles.coend_classes(W, F))
+        seen["coend merges"] += len(reps) < len(items)
+
+
+def test_kernels_match_oracles_on_corpus_functors(cats):
+    seen = collections.Counter()
+    for C in cats.values():
+        for F in ps.enumerate_set_functors(C, 2):
+            _check_kernels(C, F, seen)
+    assert min(seen[k] for k in ("limit empty", "limit inhabited", "colimit merges", "coend merges")) > 0, seen
+
+
+def test_kernels_match_oracles_on_random_dags():
+    seen = collections.Counter()
+
+    @settings(max_examples=40, deadline=None)
+    @given(dag_categories(), st.data())
+    def check(C, data):
+        functors = list(itertools.islice(ps.enumerate_set_functors(C, 2), 40))
+        _check_kernels(C, functors[data.draw(st.integers(0, len(functors) - 1))], seen)
+
+    check()
+    assert min(seen[k] for k in ("limit empty", "limit inhabited", "colimit merges", "coend merges")) > 0, seen
