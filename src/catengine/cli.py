@@ -54,12 +54,26 @@ def load_host(spec: str) -> fc.FiniteCategory:
     return fc.validate_category(data)
 
 
+def _labels(xs) -> bool:
+    return all(isinstance(x, (str, int)) for x in xs)
+
+
 def load_set_functor(path: str, cat: fc.FiniteCategory) -> ps.SetFunctor:
+    """A functor file: ``values`` maps object names to lists of strings or
+    integers, and ``maps`` maps morphism names to objects whose values are
+    such labels.  Anything else is an input error."""
     data = json.loads(Path(path).read_text())
-    values = tuple(tuple(data["values"].get(o, [])) for o in cat.objects)
+    if not isinstance(data, dict):
+        raise ValidationError("a functor file is a JSON object")
+    given, maps = data["values"], data.get("maps", {})
+    if not isinstance(given, dict) or not all(isinstance(v, list) and _labels(v) for v in given.values()):
+        raise ValidationError("functor values must map object names to lists of strings or integers")
+    if not isinstance(maps, dict) or not all(isinstance(t, dict) and _labels(t.values()) for t in maps.values()):
+        raise ValidationError("functor maps must map morphism names to objects of strings or integers")
+    values = tuple(tuple(given.get(o, [])) for o in cat.objects)
     actions = []
     for m in range(cat.n_morphisms):
-        table = data.get("maps", {}).get(cat.morphisms[m])
+        table = maps.get(cat.morphisms[m])
         if table is None:
             if cat.is_identity(m):
                 table = {x: x for x in values[cat.src[m]]}

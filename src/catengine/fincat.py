@@ -110,6 +110,15 @@ class FiniteCategory:
                             self.morphisms[h], self.morphisms[g], self.morphisms[f]
                         )
 
+    def __hash__(self) -> int:
+        # the dataclass hash, computed once: diagram caches hash categories
+        h = self._cache.get("hash")
+        if h is None:
+            h = self._cache["hash"] = hash(
+                (self.objects, self.morphisms, self.src, self.tgt, self.identity, self.table)
+            )
+        return h
+
     # -- basic queries -----------------------------------------------------
 
     @property
@@ -647,9 +656,11 @@ def limit_in_category(diagram: Diagram) -> Optional[Cone]:
 
     Memoized; the search depends only on the diagram.
     """
-    if diagram not in _LIMIT_CACHE:
-        _LIMIT_CACHE[diagram] = _first_universal(diagram.target, all_cones(diagram), cocone=False)
-    return _LIMIT_CACHE[diagram]
+    try:
+        return _LIMIT_CACHE[diagram]
+    except KeyError:
+        cone = _LIMIT_CACHE[diagram] = _first_universal(diagram.target, all_cones(diagram), cocone=False)
+        return cone
 
 
 def colimit_in_category(diagram: Diagram) -> Optional[Cocone]:

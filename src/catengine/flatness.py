@@ -13,8 +13,10 @@ from cardinalities.
 
 Functors are validated where they enter: a ``ConcreteFunctor`` given by a
 caller is checked in full.  Only images of validated functors skip the
-check: the conversion of a (validated) ``SetFunctor`` and the composite of
-a functor with a diagram in ``composite_limit``.
+check: the conversion of a (validated) ``SetFunctor``, made once per
+functor, and the composite of a functor with a diagram in
+``composite_limit``.  The comparison maps are natural by construction and
+are built unchecked too.
 """
 from __future__ import annotations
 
@@ -89,7 +91,8 @@ class ConcreteFunctor:
         a ``SetFunctor`` has already proved the identity and composition
         laws that ``__post_init__`` would check again."""
         objs = tuple(
-            ps.Presheaf(POINT_BASE, (F.values[a],), ({x: x for x in F.values[a]},), name=f"{F.name}({F.base.objects[a]})")
+            ps.Presheaf(POINT_BASE, (F.values[a],), ({x: x for x in F.values[a]},),
+                        name=f"{F.name}({F.base.objects[a]})", check=False)
             for a in range(F.base.n_objects)
         )
         mors = tuple(
@@ -100,10 +103,14 @@ class ConcreteFunctor:
 
 
 def _as_concrete(F) -> ConcreteFunctor:
+    """``F`` as a ``ConcreteFunctor``; a ``SetFunctor`` is converted once and
+    the conversion kept on it."""
     if isinstance(F, ConcreteFunctor):
         return F
     if isinstance(F, ps.SetFunctor):
-        return ConcreteFunctor.from_set_functor(F)
+        if F._concrete is None:
+            object.__setattr__(F, "_concrete", ConcreteFunctor.from_set_functor(F))
+        return F._concrete
     raise ValidationError(f"cannot interpret {type(F).__name__} as a concrete functor")
 
 
@@ -132,7 +139,7 @@ def comparison_from_cone(F: ConcreteFunctor, cone: Cone, lim: ps.PresheafCone) -
         }
         for b in range(B.n_objects)
     )
-    return ps.NatTransformation(src, lim.apex, comps)
+    return ps.NatTransformation(src, lim.apex, comps, check=False)
 
 
 def canonical_from_family(
@@ -148,7 +155,7 @@ def canonical_from_family(
             _, cone = family[i]
             comp[(i, u)] = tuple(F.morphisms[leg].components[b][u] for leg in cone.legs)
         comps.append(comp)
-    return ps.NatTransformation(cp.apex, lim.apex, tuple(comps))
+    return ps.NatTransformation(cp.apex, lim.apex, tuple(comps), check=False)
 
 
 def _sweep(cat: FiniteCategory, diagrams, bound: int = 0):
@@ -334,6 +341,8 @@ def merges_multi_finite(F, diagrams=None, bound: int = 0) -> FlatVerdict:
 
 def preserves_limit(F: ps.SetFunctor, cone: Cone) -> bool:
     """Does ``F`` send the given limiting cone to a limit in finite sets?"""
+    # converted afresh, not kept on F: callers such as the universal-property
+    # check hold thousands of candidate functors at once
     conc = ConcreteFunctor.from_set_functor(F)
     lim = composite_limit(conc, cone.diagram)
     comp = comparison_from_cone(conc, cone, lim)

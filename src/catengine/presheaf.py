@@ -11,6 +11,13 @@ Limits and quotients of finite sets are written once (``limit_of_sets``,
 element in insertion order as representative so all outputs are
 reproducible.  ``Presheaf`` and ``SetFunctor`` share one validator, and
 functors into presheaves (diagrams, concrete functors) one law check.
+
+Input from outside the engine (functor and completion files, objects built
+by callers) is validated in full.  What this module builds from validated
+objects ((co)limits, quotients, subpresheaves, relabellings, the results of
+the transformation search) is a presheaf or a natural transformation by
+construction and is built with ``check=False``; the fiber cap still runs on
+every presheaf.
 """
 from __future__ import annotations
 
@@ -26,20 +33,23 @@ FIBER_CAP = 64
 
 def _check_tables(F, covariant: bool, kind: str) -> None:
     """Check that ``F``'s tables are a functor on ``F.base`` of the given
-    variance; ``kind`` names ``F`` in the messages.
+    variance; ``kind`` names ``F`` in the messages.  With ``F.check`` false
+    only the fiber cap is enforced.
 
     A morphism ``f`` acts from the fiber over ``dom[f]`` to the one over
     ``cod[f]``, and ``g∘f`` acts as ``then∘first``.
     """
     C, values, actions, n = F.base, F.values, F.actions, F.base.n_morphisms
-    if len(values) != C.n_objects or len(actions) != n:
+    check = F.check
+    if check and (len(values) != C.n_objects or len(actions) != n):
         raise ValidationError(f"{kind} tables sized wrong")
-    where = f"in {kind} {F.name}"
     for fiber in values:
         if len(fiber) > F.cap:
-            raise FiberCapExceeded(len(fiber), F.cap, where)
-        if len(set(fiber)) != len(fiber):
-            raise ValidationError(f"duplicate elements in a value set {where}")
+            raise FiberCapExceeded(len(fiber), F.cap, f"in {kind} {F.name}")
+        if check and len(set(fiber)) != len(fiber):
+            raise ValidationError(f"duplicate elements in a value set in {kind} {F.name}")
+    if not check:
+        return
     dom, cod = (C.src, C.tgt) if covariant else (C.tgt, C.src)
     for f in range(n):
         act = actions[f]
@@ -89,11 +99,13 @@ class Presheaf(_SetTables):
     """Contravariant finite-set-valued functor on ``base``.
 
     ``actions[f]`` for ``f: a -> b`` maps the value set at ``b`` to the one
-    at ``a``.
+    at ``a``.  ``check=False`` is for presheaves built by this module from
+    validated ones; it keeps only the fiber cap.
     """
 
     name: str = field(default="M", compare=False)
     cap: int = field(default=FIBER_CAP, compare=False)
+    check: bool = field(default=True, compare=False)
 
     def __post_init__(self):
         _check_tables(self, False, "presheaf")
@@ -104,22 +116,26 @@ class SetFunctor(_SetTables):
     """Covariant finite-set-valued functor on ``base``.
 
     ``actions[f]`` for ``f: a -> b`` maps the value set at ``a`` to the one
-    at ``b``.
+    at ``b``.  ``check`` is as for ``Presheaf``.
     """
 
     name: str = field(default="F", compare=False)
     cap: int = field(default=FIBER_CAP, compare=False)
+    check: bool = field(default=True, compare=False)
+    # the ConcreteFunctor, set once by flatness._as_concrete; a class default
+    # rather than a field, so that functors never converted carry nothing
+    _concrete = None
 
     def __post_init__(self):
         _check_tables(self, True, "functor")
 
     def as_presheaf(self) -> Presheaf:
         """The same data viewed contravariantly on the opposite base."""
-        return Presheaf(opposite(self.base), self.values, self.actions, name=self.name)
+        return Presheaf(opposite(self.base), self.values, self.actions, name=self.name, check=False)
 
 
 def presheaf_as_covariant(M: Presheaf) -> SetFunctor:
-    return SetFunctor(opposite(M.base), M.values, M.actions, name=M.name)
+    return SetFunctor(opposite(M.base), M.values, M.actions, name=M.name, check=False)
 
 
 def _constant(cls, base: FiniteCategory, elements: Sequence, name):
@@ -213,7 +229,8 @@ def identity_nat(M: Presheaf) -> NatTransformation:
 
 
 def compose_nats(t2: NatTransformation, t1: NatTransformation) -> NatTransformation:
-    if t2.source is not t1.target and t2.source.values != t1.target.values:
+    M, N = t2.source, t1.target
+    if M is not N and (M.base != N.base or M.values != N.values or M.actions != N.actions):
         raise ValidationError("natural transformations not composable")
     return NatTransformation(
         t1.source, t2.target,
@@ -308,8 +325,11 @@ class PresheafDiagram:
 
 
 def discrete_diagram(base: FiniteCategory, Ms: Sequence[Presheaf]) -> PresheafDiagram:
+    # identity edges satisfy every functor law; only the bases need a check
+    if any(M.base != Ms[0].base for M in Ms[1:]):
+        raise ValidationError("diagram values live over different bases")
     S = discrete_category(len(Ms))
-    return PresheafDiagram(S, tuple(Ms), tuple(identity_nat(M) for M in Ms))
+    return PresheafDiagram(S, tuple(Ms), tuple(identity_nat(M) for M in Ms), check=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,7 +362,7 @@ def limit(diagram: PresheafDiagram, base: Optional[FiniteCategory] = None, name=
         for tup in values[C.tgt[f]]:
             act[tup] = tuple(v.actions[f][x] for v, x in zip(V, tup))
         actions.append(act)
-    L = Presheaf(C, values, tuple(actions), name=name)
+    L = Presheaf(C, values, tuple(actions), name=name, check=False)
     legs = tuple(
         NatTransformation(
             L, diagram.vertices[d],
@@ -449,7 +469,7 @@ def colimit(diagram: PresheafDiagram, base: Optional[FiniteCategory] = None, nam
         for (d, x) in values[b]:
             act[(d, x)] = class_of[a][(d, V[d].actions[f][x])]
         actions.append(act)
-    Q = Presheaf(C, tuple(values), tuple(actions), name=name)
+    Q = Presheaf(C, tuple(values), tuple(actions), name=name, check=False)
     legs = tuple(
         NatTransformation(
             diagram.vertices[d], Q,
@@ -535,7 +555,7 @@ def epi_mono_factorize(t: NatTransformation) -> tuple[NatTransformation, NatTran
     """Split ``t`` as a pointwise surjection onto its image subpresheaf
     followed by the inclusion."""
     image, m = subpresheaf(t.target, [set(c.values()) for c in t.components], name=f"im({t.source.name})")
-    return NatTransformation(t.source, image, t.components), m
+    return NatTransformation(t.source, image, t.components, check=False), m
 
 
 def quotient_presheaf(M: Presheaf, pairs: Iterable[tuple[int, Hashable, Hashable]], name=None):
@@ -575,8 +595,8 @@ def quotient_presheaf(M: Presheaf, pairs: Iterable[tuple[int, Hashable, Hashable
         {x: rep[C.src[f]][M.actions[f][x]] for x in values[C.tgt[f]]}
         for f in range(C.n_morphisms)
     )
-    Q = Presheaf(C, values, actions, name=name or f"{M.name}/~")
-    q = NatTransformation(M, Q, tuple(rep[a] for a in range(C.n_objects)))
+    Q = Presheaf(C, values, actions, name=name or f"{M.name}/~", check=False)
+    q = NatTransformation(M, Q, tuple(rep[a] for a in range(C.n_objects)), check=False)
     return Q, q
 
 
@@ -596,7 +616,7 @@ def subpresheaf(M: Presheaf, keep: Sequence[Iterable], name=None):
     actions = tuple(
         {x: M.actions[f][x] for x in values[C.tgt[f]]} for f in range(C.n_morphisms)
     )
-    S = Presheaf(C, values, actions, name=name or f"{M.name}|sub")
+    S = Presheaf(C, values, actions, name=name or f"{M.name}|sub", check=False)
     mono = NatTransformation(S, M, tuple({x: x for x in values[a]} for a in range(C.n_objects)), check=False)
     return S, mono
 
@@ -610,7 +630,7 @@ def relabel(M: Presheaf, name=None) -> tuple[Presheaf, tuple[dict, ...]]:
         {enc[C.tgt[f]][x]: enc[C.src[f]][M.actions[f][x]] for x in M.values[C.tgt[f]]}
         for f in range(C.n_morphisms)
     )
-    return Presheaf(C, values, actions, name=name or M.name), enc
+    return Presheaf(C, values, actions, name=name or M.name, check=False), enc
 
 
 # -- natural transformation search -------------------------------------------
@@ -658,6 +678,9 @@ def _nat_search(M: Presheaf, N: Presheaf, bijective: bool, max_results: Optional
     results: list[NatTransformation] = []
     assign: dict[tuple[int, Hashable], Hashable] = {}
     used: list[set] = [set() for _ in range(C.n_objects)]
+    into: list[list[int]] = [[] for _ in range(C.n_objects)]  # f with tgt[f] == a, ascending
+    for f in range(C.n_morphisms):
+        into[C.tgt[f]].append(f)
 
     def propagate(queue, trail) -> bool:
         while queue:
@@ -672,9 +695,8 @@ def _nat_search(M: Presheaf, N: Presheaf, bijective: bool, max_results: Optional
             assign[key] = y
             used[a].add(y)
             trail.append(key)
-            for f in range(C.n_morphisms):
-                if C.tgt[f] == a:
-                    queue.append((C.src[f], M.actions[f][x], N.actions[f][y]))
+            for f in into[a]:
+                queue.append((C.src[f], M.actions[f][x], N.actions[f][y]))
         return True
 
     def undo(trail):
@@ -689,7 +711,8 @@ def _nat_search(M: Presheaf, N: Presheaf, bijective: bool, max_results: Optional
             comps = tuple(
                 {x: assign[(a, x)] for x in M.values[a]} for a in range(C.n_objects)
             )
-            results.append(NatTransformation(M, N, comps))
+            # a complete assignment is closed under propagate, so natural
+            results.append(NatTransformation(M, N, comps, check=False))
             return max_results is not None and len(results) >= max_results
         a, x = order[i]
         if (a, x) in assign:
@@ -720,8 +743,8 @@ def find_iso(M: Presheaf, N: Presheaf) -> Optional[NatTransformation]:
     """A natural isomorphism ``M -> N`` if one exists.
 
     Candidates are pruned by fiber sizes and action-orbit color profiles,
-    then found by backtracking; the result is verified natural and
-    pointwise bijective before being returned.
+    then found by backtracking; the result is natural by construction and
+    verified pointwise bijective before being returned.
     """
     found = _nat_search(M, N, bijective=True, max_results=1)
     if not found:

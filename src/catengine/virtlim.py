@@ -82,8 +82,9 @@ def virtual_limit(cat: FiniteCategory, diagram: Diagram) -> VirtualLimit:
     """
     if diagram.target != cat:
         raise ValidationError("diagram does not land in the given category")
-    if diagram in _VL_CACHE:
-        return _VL_CACHE[diagram]
+    out = _VL_CACHE.get(diagram)
+    if out is not None:
+        return out
     S = diagram.shape
     vertices = tuple(ps.yoneda(cat, diagram.vertex(d)) for d in range(S.n_objects))
     edges = tuple(

@@ -221,3 +221,24 @@ def representable_cone_factorizations(diagram_vertices, diagram_edges_at, limit_
             if all(edge.components[c][tup[i]] == tup[j] for (i, j, edge) in diagram_edges_at):
                 out.append((c, tup))
     return out
+
+
+def nat_transformations_in_order(M, N):
+    """Every natural transformation ``M -> N`` as a tuple of components, by
+    brute force: ``itertools.product`` over an image in ``N.values`` order
+    for each element of ``M`` in ``(object, element)`` order, kept when
+    natural."""
+    C = M.base
+    slots = [(a, x) for a in range(C.n_objects) for x in M.values[a]]
+    out = []
+    for images in itertools.product(*[N.values[a] for a, _ in slots]):
+        comps = tuple({} for _ in range(C.n_objects))
+        for (a, x), y in zip(slots, images):
+            comps[a][x] = y
+        if all(
+            comps[C.src[f]][M.actions[f][x]] == N.actions[f][comps[C.tgt[f]][x]]
+            for f in range(C.n_morphisms)
+            for x in M.values[C.tgt[f]]
+        ):
+            out.append(comps)
+    return out

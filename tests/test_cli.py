@@ -245,3 +245,18 @@ def test_check_flat_rejects_non_functor_file(run, tmp_path):
     f.write_text(json.dumps({"name": "Bad", "values": {"*": ["a", "b"]}, "maps": {"s": {"a": "a", "b": "a"}}}))
     code, out = run("check-flat", "--category", "Z2", "--functor", str(f))
     assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("functor", [
+    {"values": {"A": [[1]], "B": ["x"]}, "maps": {}},
+    {"values": ["x"]},
+    {"values": {"A": ["x"], "B": ["y"]}, "maps": {"u": {"x": ["y"]}}},
+])
+def test_check_flat_rejects_malformed_functor_file(functor, tmp_path, capsys):
+    # each of these once escaped as a TypeError or AttributeError traceback
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(functor))
+    code = cli.main(["check-flat", "--category", "ARROW", "--functor", str(f)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("input error: functor ")

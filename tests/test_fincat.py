@@ -307,3 +307,21 @@ def test_arrow_table_constructors_pinned(cats, constructor):
     build, digest = ARROW_TABLE_OUTPUTS[constructor]
     data = json.dumps(fc.category_to_json(build(cats)), sort_keys=True).encode()
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+def _assert_dataclass_hash(C: fc.FiniteCategory) -> None:
+    # set and dict orders over categories, and so report bytes, rest on it
+    assert hash(C) == hash((C.objects, C.morphisms, C.src, C.tgt, C.identity, C.table)) == hash(C)
+    twin = fc.FiniteCategory.build(C.objects, C.morphisms, C.src, C.tgt, C.identity, C.table, name="twin")
+    assert twin is not C and twin == C and hash(twin) == hash(C)
+
+
+def test_cached_hash_is_the_dataclass_hash_on_corpus(cats):
+    for C in cats.values():
+        _assert_dataclass_hash(C)
+
+
+@settings(max_examples=25, deadline=None)
+@given(dag_categories())
+def test_cached_hash_is_the_dataclass_hash_on_random_dags(C):
+    _assert_dataclass_hash(C)

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import collections
 import dataclasses
 import hashlib
 import json
+import sys
 
 import pytest
 
+from catengine import cli
 from catengine import fincat as fc
 from catengine import presheaf as ps
 from catengine import flatness as fl
@@ -192,29 +195,90 @@ def test_flat_census_pinned(cats):
     assert got == CENSUS_DIGESTS
 
 
-def test_trusted_images_revalidate(cats, monkeypatch):
-    # every functor and composite diagram built without re-validation
-    # during the census passes the full check when rebuilt with check=True
-    trusted = {"functors": 0, "composites": 0}
+def _maker(frame) -> str:
+    """The function that built an object, past ``__init__`` and comprehensions."""
+    while frame.f_code.co_name.startswith("<") or frame.f_code.co_name == "__init__":
+        frame = frame.f_back
+    return frame.f_code.co_name
+
+
+@pytest.fixture()
+def trusted_built(monkeypatch):
+    """Rebuild every presheaf, set functor and transformation that the
+    engine builds with ``check=False`` with ``check=True`` (the full check),
+    and count them by type and by the function that built them."""
+    made = collections.Counter()
+
+    def revalidating(post_init):
+        def wrapper(self):
+            post_init(self)
+            if not self.check:
+                dataclasses.replace(self, check=True)
+                made[type(self).__name__, _maker(sys._getframe(1))] += 1
+        return wrapper
+
+    for cls in (ps.Presheaf, ps.SetFunctor, ps.NatTransformation):
+        monkeypatch.setattr(cls, "__post_init__", revalidating(cls.__post_init__))
+    return made
+
+
+def test_trusted_images_revalidate(cats, monkeypatch, trusted_built):
+    # every functor, composite diagram, presheaf and transformation built
+    # without re-validation during the census passes the full check when
+    # rebuilt with check=True, and each set functor is converted once
+    functors, converted, lex_calls, composites = {}, collections.Counter(), collections.Counter(), [0]
     from_set_functor = fl.ConcreteFunctor.from_set_functor
     composite_limit = fl.composite_limit
+    preserves_limit = fl.preserves_limit
 
     def checked_from_set_functor(cls, F):
         out = from_set_functor(F)
         assert not out.check
         dataclasses.replace(out, check=True)
-        trusted["functors"] += 1
+        functors[id(F)] = F  # kept alive, so that no two functors share an id
+        converted[id(F)] += 1
         return out
+
+    def counted_preserves_limit(F, cone):
+        lex_calls[id(F)] += 1
+        return preserves_limit(F, cone)
 
     def checked_composite_limit(F, diagram):
         cone = composite_limit(F, diagram)
         assert not cone.diagram.check
         dataclasses.replace(cone.diagram, check=True)
-        trusted["composites"] += 1
+        composites[0] += 1
         return cone
 
     monkeypatch.setattr(fl.ConcreteFunctor, "from_set_functor", classmethod(checked_from_set_functor))
     monkeypatch.setattr(fl, "composite_limit", checked_composite_limit)
+    monkeypatch.setattr(fl, "preserves_limit", counted_preserves_limit)
     for name, C in cats.items():
         census_digest(C, census_value_bound(name))
-    assert trusted["functors"] > 1000 and trusted["composites"] > 1000, trusted
+    # the census enumerates 193 set functors and runs every route on each:
+    # the routes convert each one once, and preserves_limit converts afresh
+    assert len(functors) == 193 and sum(converted.values()) == 193 + sum(lex_calls.values()) == 509
+    assert all(converted[f] == 1 + lex_calls[f] for f in functors)
+    assert composites[0] > 1000, composites
+    floors = {
+        ("Presheaf", "limit"): 1000, ("Presheaf", "colimit"): 1000, ("Presheaf", "from_set_functor"): 300,
+        ("NatTransformation", "limit"): 1000, ("NatTransformation", "colimit"): 1000,
+        ("NatTransformation", "from_set_functor"): 300, ("NatTransformation", "identity_nat"): 1000,
+        ("NatTransformation", "comparison_from_cone"): 100, ("NatTransformation", "canonical_from_family"): 1000,
+    }
+    assert all(trusted_built[kind] >= n for kind, n in floors.items()), trusted_built
+
+
+def test_trusted_completion_objects_revalidate(capsys, trusted_built):
+    # the completion-side twin: the CHAIN3 fam_f battery builds subpresheaves
+    # and relabelled copies and searches hom-sets and isomorphisms; the SPLIT
+    # Barr-exact battery takes images and quotients
+    assert cli.main(["verify-axioms", "--category", "CHAIN3", "--flavor", "fam_f"]) == 0
+    assert cli.main(["verify-axioms", "--category", "SPLIT", "--flavor", "ex"]) == 0
+    capsys.readouterr()
+    floors = {
+        ("Presheaf", "subpresheaf"): 1000, ("Presheaf", "relabel"): 10, ("Presheaf", "quotient_presheaf"): 10,
+        ("NatTransformation", "quotient_presheaf"): 10, ("NatTransformation", "epi_mono_factorize"): 10,
+        ("NatTransformation", "rec"): 1000,  # the results of hom_set and find_iso
+    }
+    assert all(trusted_built[kind] >= n for kind, n in floors.items()), trusted_built

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import collections
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -536,3 +537,45 @@ def test_kernels_match_oracles_on_random_dags():
 
     check()
     assert min(seen[k] for k in ("limit empty", "limit inhabited", "colimit merges", "coend merges")) > 0, seen
+
+
+def test_product_over_different_bases_is_rejected(cats):
+    mixed = [ps.yoneda(cats["ARROW"], 0), ps.yoneda(cats["PAR"], 0)]
+    for build in (ps.product, ps.coproduct):
+        with pytest.raises(ValidationError) as err:
+            build(cats["ARROW"], mixed)
+        assert str(err.value) == "diagram values live over different bases"
+
+
+def test_compose_nats_needs_the_same_presheaf_between(cats):
+    # two presheaves on PAR with equal fibers whose actions of v differ: the
+    # identity components do not compose to a natural transformation
+    PAR = cats["PAR"]
+    values = ((0, 1), (0,))
+    P = ps.Presheaf(PAR, values, ({0: 0, 1: 1}, {0: 0}, {0: 0}, {0: 0}), name="P")
+    Q = ps.Presheaf(PAR, values, ({0: 0, 1: 1}, {0: 0}, {0: 0}, {0: 1}), name="Q")
+    with pytest.raises(ValidationError, match="not composable"):
+        ps.compose_nats(ps.identity_nat(Q), ps.identity_nat(P))
+    twin = ps.Presheaf(PAR, values, P.actions, name="P'")
+    assert ps.compose_nats(ps.identity_nat(twin), ps.identity_nat(P)).key() == ps.identity_nat(P).key()
+
+
+def _representables_and_products(C):
+    reps = [ps.yoneda(C, a) for a in range(C.n_objects)]
+    pairs = itertools.combinations_with_replacement(reps, 2)
+    return reps + [ps.product(C, [M, N]).apex for M, N in pairs]
+
+
+def test_hom_set_order_matches_brute_force(cats):
+    # hom_set lists transformations in the order of itertools.product over
+    # the images of M's elements, (object, element) order, N.values order
+    sizes = collections.Counter()
+    for name, C in cats.items():
+        pool = _representables_and_products(C)
+        for M, N in itertools.product(pool, repeat=2):
+            if math.prod(len(N.values[a]) ** len(M.values[a]) for a in range(C.n_objects)) > 10 ** 4:
+                continue
+            want = [ps.NatTransformation(M, N, comps).key() for comps in oracles.nat_transformations_in_order(M, N)]
+            assert [t.key() for t in ps.hom_set(M, N)] == want, (name, M.name, N.name)
+            sizes[min(len(want), 2)] += 1
+    assert sizes[0] > 0 and sizes[2] > 0, sizes
