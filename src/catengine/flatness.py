@@ -339,13 +339,10 @@ def merges_multi_finite(F, diagrams=None, bound: int = 0) -> FlatVerdict:
 # -- lexness of set-valued functors (for lex domains) --------------------------
 
 
-def preserves_limit(F: ps.SetFunctor, cone: Cone) -> bool:
+def preserves_limit(F: ConcreteFunctor, cone: Cone) -> bool:
     """Does ``F`` send the given limiting cone to a limit in finite sets?"""
-    # converted afresh, not kept on F: callers such as the universal-property
-    # check hold thousands of candidate functors at once
-    conc = ConcreteFunctor.from_set_functor(F)
-    lim = composite_limit(conc, cone.diagram)
-    comp = comparison_from_cone(conc, cone, lim)
+    lim = composite_limit(F, cone.diagram)
+    comp = comparison_from_cone(F, cone, lim)
     return comp.is_pointwise_bijective()
 
 
@@ -380,11 +377,12 @@ def is_lex_set_valued(F: ps.SetFunctor, diagrams=None, bound: int = 0) -> FlatVe
     from .fincat import limit_in_category
 
     C = F.base
+    conc = ConcreteFunctor.from_set_functor(F)
     for diagram in _sweep(C, diagrams, bound):
         cone = limit_in_category(diagram)
         if cone is None:
             raise NoWeakLimit(diagram.describe())
-        if not preserves_limit(F, cone):
+        if not preserves_limit(conc, cone):
             return FlatVerdict(
                 False, FailingWeight(diagram.describe(), "limit not preserved"), "lex"
             )

@@ -198,7 +198,8 @@ class NatTransformation:
         return self.components[a][x]
 
     def key(self) -> tuple:
-        """Canonical hashable form, used to identify equal transformations."""
+        """Canonical hashable form, for keying transformations in dicts and
+        sets; equality tests compare ``components`` directly."""
         return tuple(
             tuple(sorted(comp.items(), key=repr)) for comp in self.components
         )
@@ -244,26 +245,31 @@ def compose_nats(t2: NatTransformation, t1: NatTransformation) -> NatTransformat
 
 
 def yoneda(cat: FiniteCategory, a: int) -> Presheaf:
-    """The representable presheaf of maps into ``a``; elements are morphism ids."""
-    values = tuple(cat.hom(b, a) for b in range(cat.n_objects))
-    actions = []
-    for f in range(cat.n_morphisms):
-        actions.append({m: cat.table[m][f] for m in values[cat.tgt[f]]})
-    return Presheaf(cat, values, tuple(actions), name=f"Y{cat.objects[a]}")
+    """The representable presheaf of maps into ``a``; elements are morphism ids.
+
+    Built and validated in full once per category and kept in ``cat._cache``;
+    later calls return the same object, which callers must not mutate.
+    """
+    key = ("yoneda", a)
+    Y = cat._cache.get(key)
+    if Y is None:
+        values = tuple(cat.hom(b, a) for b in range(cat.n_objects))
+        actions = tuple({m: cat.table[m][f] for m in values[cat.tgt[f]]} for f in range(cat.n_morphisms))
+        Y = cat._cache[key] = Presheaf(cat, values, actions, name=f"Y{cat.objects[a]}")
+    return Y
 
 
-def yoneda_map(cat: FiniteCategory, f: int, Ya: Optional[Presheaf] = None, Yb: Optional[Presheaf] = None) -> NatTransformation:
+def yoneda_map(cat: FiniteCategory, f: int) -> NatTransformation:
     """Postcomposition ``Y(src f) -> Y(tgt f)``."""
-    Ya = Ya if Ya is not None else yoneda(cat, cat.src[f])
-    Yb = Yb if Yb is not None else yoneda(cat, cat.tgt[f])
+    Ya, Yb = yoneda(cat, cat.src[f]), yoneda(cat, cat.tgt[f])
     comps = tuple({m: cat.table[f][m] for m in Ya.values[x]} for x in range(cat.n_objects))
     return NatTransformation(Ya, Yb, comps)
 
 
-def classifying_nat(M: Presheaf, a: int, x, Ya: Optional[Presheaf] = None) -> NatTransformation:
+def classifying_nat(M: Presheaf, a: int, x) -> NatTransformation:
     """The transformation ``Y(a) -> M`` picking out ``x`` in ``M(a)``."""
     C = M.base
-    Ya = Ya if Ya is not None else yoneda(C, a)
+    Ya = yoneda(C, a)
     comps = tuple({m: M.actions[m][x] for m in Ya.values[b]} for b in range(C.n_objects))
     return NatTransformation(Ya, M, comps)
 
@@ -299,12 +305,12 @@ def check_functor_laws(
         if t.source is not objects[C.src[m]] or t.target is not objects[C.tgt[m]]:
             raise ValidationError(f"image of {C.morphisms[m]} has bad endpoints")
     for a in range(C.n_objects):
-        if morphisms[C.identity[a]].key() != identity_nat(objects[a]).key():
+        if morphisms[C.identity[a]].components != identity_nat(objects[a]).components:
             raise ValidationError(f"image of the identity at {C.objects[a]} is not the identity")
     for g in range(C.n_morphisms):
         for f in range(C.n_morphisms):
             c = C.table[g][f]
-            if c >= 0 and morphisms[c].key() != compose_nats(morphisms[g], morphisms[f]).key():
+            if c >= 0 and morphisms[c].components != compose_nats(morphisms[g], morphisms[f]).components:
                 raise ValidationError(f"{kind} breaks composition at ({C.morphisms[g]}, {C.morphisms[f]})")
 
 

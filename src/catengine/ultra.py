@@ -222,9 +222,9 @@ def _cocones_into(inst, stages, N: int) -> list[dict]:
             ok = True
             for i in range(k):
                 S2 = members[i]
-                if S2 <= S and ps.compose_nats(chosen[i], res[(S, S2)]).key() != cand.key():
+                if S2 <= S and ps.compose_nats(chosen[i], res[(S, S2)]).components != cand.components:
                     ok = False
-                elif S <= S2 and ps.compose_nats(cand, res[(S2, S)]).key() != chosen[i].key():
+                elif S <= S2 and ps.compose_nats(cand, res[(S2, S)]).components != chosen[i].components:
                     ok = False
                 if not ok:
                     break

@@ -87,10 +87,7 @@ def virtual_limit(cat: FiniteCategory, diagram: Diagram) -> VirtualLimit:
         return out
     S = diagram.shape
     vertices = tuple(ps.yoneda(cat, diagram.vertex(d)) for d in range(S.n_objects))
-    edges = tuple(
-        ps.yoneda_map(cat, diagram.body.morphism_map[s], vertices[S.src[s]], vertices[S.tgt[s]])
-        for s in range(S.n_morphisms)
-    )
+    edges = tuple(ps.yoneda_map(cat, diagram.body.morphism_map[s]) for s in range(S.n_morphisms))
     cone = ps.limit(ps.PresheafDiagram(S, vertices, edges), base=cat, name=f"lim Y{diagram.describe()}")
     weight = cone.apex
     index = {
@@ -173,20 +170,38 @@ def multilimit(v: VirtualLimit) -> Optional[list[tuple[int, Cone]]]:
 
 @_per_limit
 def fc_limit(v: VirtualLimit) -> list[tuple[int, Cone]]:
-    """A minimum-size family of cones jointly covering every cone."""
+    """A minimum-size family of cones jointly covering every cone; of those,
+    the first in element order, as ascending index tuples compare.
+
+    Write ``j <= i`` when the cone ``j`` factors through the cone ``i``
+    (``below[i]`` holds every such ``j``).  Arrows compose, so this is a
+    preorder, and a family covers exactly when every element lies below a
+    member.  ``i`` is maximal when everything above it is also below it.
+    In a finite preorder every element lies below a maximal one, and an
+    element above a maximal one is in its class, so a family covers exactly
+    when it meets every maximal class: a minimum family takes one element
+    of each.  The least element of each class gives the first such family,
+    since any other choice is, once sorted, componentwise larger.
+    """
+    C, W = v.diagram.target, v.weight
     elems = v.elements()
-    candidates = elems
-    cover = [
-        frozenset(j for j, e in enumerate(elems) if v.arrows(e, cand))
-        for cand in candidates
+    index = {e: i for i, e in enumerate(elems)}
+    below = [
+        {index[(b, W.actions[f][w])] for b in range(C.n_objects) for f in C.hom(b, c)}
+        for (c, w) in elems
     ]
-    everything = frozenset(range(len(elems)))
-    for k in range(len(candidates) + 1):
-        for combo in itertools.combinations(range(len(candidates)), k):
-            hit = frozenset().union(*(cover[i] for i in combo)) if combo else frozenset()
-            if hit == everything:
-                return [(elems[i][0], v.cone_index[elems[i]]) for i in combo]
-    raise ValidationError("internal: the full family of cones must cover itself")
+    above = [[] for _ in elems]
+    for i, b in enumerate(below):
+        for j in b:
+            above[j].append(i)
+    chosen, hit = [], set()
+    for i in range(len(elems)):
+        if i not in hit and all(j in below[i] for j in above[i]):
+            chosen.append(i)
+            hit |= below[i]
+    if len(hit) != len(elems):
+        raise ValidationError("internal: the full family of cones must cover itself")
+    return [(elems[i][0], v.cone_index[elems[i]]) for i in chosen]
 
 
 def multi_finite_limit(v: VirtualLimit) -> Optional[list[tuple[int, Cone]]]:

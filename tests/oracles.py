@@ -74,6 +74,20 @@ def fc_minimum_size(diagram) -> int:
     raise AssertionError("the set of all cones always covers itself")
 
 
+def fc_limit_by_subsets(v):
+    """The first minimum-size covering family of the virtual limit ``v``,
+    by searching its element subsets by size and then in
+    ``itertools.combinations`` order; members as ``(object, cone)``."""
+    elems = v.elements()
+    cover = [frozenset(j for j, e in enumerate(elems) if v.arrows(e, cand)) for cand in elems]
+    everything = frozenset(range(len(elems)))
+    for k in range(len(elems) + 1):
+        for combo in itertools.combinations(range(len(elems)), k):
+            if frozenset().union(*(cover[i] for i in combo)) == everything:
+                return [(elems[i][0], v.cone_index[elems[i]]) for i in combo]
+    raise AssertionError("the set of all cones always covers itself")
+
+
 def polylimit_exists(diagram) -> bool:
     C = diagram.target
     cones = enumerate_cones(diagram)

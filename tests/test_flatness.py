@@ -225,11 +225,12 @@ def trusted_built(monkeypatch):
 def test_trusted_images_revalidate(cats, monkeypatch, trusted_built):
     # every functor, composite diagram, presheaf and transformation built
     # without re-validation during the census passes the full check when
-    # rebuilt with check=True, and each set functor is converted once
+    # rebuilt with check=True, and each set functor is converted once by the
+    # routes and once per call of the lex route
     functors, converted, lex_calls, composites = {}, collections.Counter(), collections.Counter(), [0]
     from_set_functor = fl.ConcreteFunctor.from_set_functor
     composite_limit = fl.composite_limit
-    preserves_limit = fl.preserves_limit
+    is_lex_set_valued = fl.is_lex_set_valued
 
     def checked_from_set_functor(cls, F):
         out = from_set_functor(F)
@@ -239,9 +240,9 @@ def test_trusted_images_revalidate(cats, monkeypatch, trusted_built):
         converted[id(F)] += 1
         return out
 
-    def counted_preserves_limit(F, cone):
+    def counted_is_lex_set_valued(F, **kwargs):
         lex_calls[id(F)] += 1
-        return preserves_limit(F, cone)
+        return is_lex_set_valued(F, **kwargs)
 
     def checked_composite_limit(F, diagram):
         cone = composite_limit(F, diagram)
@@ -252,12 +253,13 @@ def test_trusted_images_revalidate(cats, monkeypatch, trusted_built):
 
     monkeypatch.setattr(fl.ConcreteFunctor, "from_set_functor", classmethod(checked_from_set_functor))
     monkeypatch.setattr(fl, "composite_limit", checked_composite_limit)
-    monkeypatch.setattr(fl, "preserves_limit", counted_preserves_limit)
+    monkeypatch.setitem(CENSUS_ROUTES, "lex", counted_is_lex_set_valued)
     for name, C in cats.items():
         census_digest(C, census_value_bound(name))
     # the census enumerates 193 set functors and runs every route on each:
-    # the routes convert each one once, and preserves_limit converts afresh
-    assert len(functors) == 193 and sum(converted.values()) == 193 + sum(lex_calls.values()) == 509
+    # the routes convert each one once, and the lex route converts afresh,
+    # once per call rather than once per preserves_limit call (316 of them)
+    assert len(functors) == 193 and sum(converted.values()) == 193 + sum(lex_calls.values()) == 423
     assert all(converted[f] == 1 + lex_calls[f] for f in functors)
     assert composites[0] > 1000, composites
     floors = {

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import collections
+import gc
 import itertools
 import math
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -52,6 +54,35 @@ def test_yoneda_lemma_bijection(cats):
                 assert evaluated == set(M.at(a))
 
 
+def test_representables_built_once_per_category(cats, monkeypatch):
+    PAR = fc.validate_category(fc.category_to_json(cats["PAR"]))
+    checks = []
+    check_tables = ps._check_tables
+    monkeypatch.setattr(ps, "_check_tables", lambda F, *args: checks.append(F.check) or check_tables(F, *args))
+    YA, YB = ps.yoneda(PAR, 0), ps.yoneda(PAR, 1)
+    assert checks == [True, True]  # the first build runs the full check
+    assert ps.yoneda(PAR, 0) is YA and ps.yoneda(PAR, 1) is YB and len(checks) == 2
+    # an equal but separately loaded category keeps representables of its own
+    assert PAR == cats["PAR"] and ps.yoneda(cats["PAR"], 1) is not YB
+    assert ps.yoneda(cats["PAR"], 1).values == YB.values
+    # default endpoints are the representables themselves, so a diagram of
+    # them built without explicit endpoints passes the law check's identity test
+    ARROW, u = cats["ARROW"], PAR.morphism_index("u")
+    t = ps.yoneda_map(PAR, u)
+    assert t.source is YA and t.target is YB and ps.classifying_nat(YB, 0, u).source is YA
+    edges = tuple(ps.yoneda_map(PAR, u if not ARROW.is_identity(m) else PAR.identity[ARROW.src[m]])
+                  for m in range(ARROW.n_morphisms))
+    assert ps.PresheafDiagram(ARROW, (YA, YB), edges).check
+
+
+def test_representables_freed_with_their_category(cats):
+    C = fc.validate_category(fc.category_to_json(cats["SPLIT"]))
+    refs = [weakref.ref(C)] + [weakref.ref(ps.yoneda(C, a)) for a in range(C.n_objects)]
+    del C
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+
+
 def test_limit_empty_is_terminal(cats):
     PAR = cats["PAR"]
     T = ps.terminal_presheaf(PAR)
@@ -69,8 +100,7 @@ def test_limit_product_example(cats):
 
 def test_limit_equalizer_empty(cats):
     PAR = cats["PAR"]
-    YA, YB = ps.yoneda(PAR, 0), ps.yoneda(PAR, 1)
-    t, u = ps.yoneda_map(PAR, 2, YA, YB), ps.yoneda_map(PAR, 3, YA, YB)
+    t, u = ps.yoneda_map(PAR, 2), ps.yoneda_map(PAR, 3)
     assert ps.equalizer(t, u).apex.fiber_sizes() == (0, 0)
 
 
@@ -575,7 +605,12 @@ def test_hom_set_order_matches_brute_force(cats):
         for M, N in itertools.product(pool, repeat=2):
             if math.prod(len(N.values[a]) ** len(M.values[a]) for a in range(C.n_objects)) > 10 ** 4:
                 continue
-            want = [ps.NatTransformation(M, N, comps).key() for comps in oracles.nat_transformations_in_order(M, N)]
-            assert [t.key() for t in ps.hom_set(M, N)] == want, (name, M.name, N.name)
+            brute = [ps.NatTransformation(M, N, comps) for comps in oracles.nat_transformations_in_order(M, N)]
+            got = ps.hom_set(M, N)
+            want = [t.key() for t in brute]
+            assert [t.key() for t in got] == want, (name, M.name, N.name)
+            # the law check and the ultraproduct search compare components:
+            # equal exactly when the keys are
+            assert all((s.components == t.components) == (s.key() == t.key()) for s in got for t in brute)
             sizes[min(len(want), 2)] += 1
     assert sizes[0] > 0 and sizes[2] > 0, sizes

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
-import pytest
+import collections
 
+import pytest
+from hypothesis import given, settings
+
+from catengine import completions as cp
 from catengine import fincat as fc
 from catengine import presheaf as ps
 from catengine import virtlim as vl
+from test_fincat import dag_categories
 import oracles
 
 
@@ -254,3 +259,53 @@ def test_sweeps_are_fresh_lists(cats):
     assert vl.generating_diagrams(C) == expected_generating
     assert vl.swept_diagrams(C, 1) == expected_swept
     assert vl.swept_diagrams(C, 1)[: len(expected_generating)] == expected_generating
+
+
+def _check_fc_limits(C, diagrams, seen, max_elements=None):
+    """``fc_limit`` returns the subset search's family, objects and cones in
+    order, on every diagram whose weight has at most ``max_elements``
+    elements; ``seen`` counts the weights with more than one maximal class
+    and those whose family could swap a member for a peer."""
+    for diagram in diagrams:
+        v = vl.virtual_limit(C, diagram)
+        if max_elements is not None and len(v.elements()) > max_elements:
+            seen["skipped"] += 1
+            continue
+        family = vl.fc_limit(v)
+        assert family == oracles.fc_limit_by_subsets(v), (C.name, diagram.describe())
+        seen["several classes"] += len(family) > 1
+        members = [(c, tuple(cone.legs)) for c, cone in family]
+        seen["a class with peers"] += any(
+            e != m and v.arrows(e, m) and v.arrows(m, e) for m in members for e in v.elements()
+        )
+
+
+def test_fc_limit_matches_subset_search_on_corpus(cats):
+    seen = collections.Counter()
+    for C in cats.values():
+        _check_fc_limits(C, vl.swept_diagrams(C, 1), seen)
+    assert seen["several classes"] > 0 and seen["a class with peers"] > 0, seen
+
+
+def test_fc_limit_matches_subset_search_on_random_dags():
+    seen = collections.Counter()
+
+    @settings(max_examples=40, deadline=None)
+    @given(dag_categories())
+    def check(C):
+        # the subset search scans up to 2**14 subsets; the free category on
+        # 0->1, 0->1, 0->2, 0->2, 1->2, 1->2 has a 41-element weight whose
+        # 29 classes would take it 2e12
+        _check_fc_limits(C, vl.swept_diagrams(C, 1), seen, max_elements=14)
+
+    check()
+    assert seen["several classes"] > 0, seen
+
+
+def test_fc_limit_matches_subset_search_on_completions(cats):
+    # larger weights: up to 21 elements on the fam_f category
+    seen = collections.Counter()
+    for E in (cp.fam_f(cats["ONE"], 2), cp.direct_pretopos(cats["ARROW"])):
+        C = E.as_category()
+        _check_fc_limits(C, vl.generating_diagrams(C), seen)
+    assert seen["several classes"] > 0, seen
