@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -445,7 +446,10 @@ def _hom_functor(cat: fc.FiniteCategory, a: int) -> ps.SetFunctor:
     return ps.SetFunctor(cat, values, actions, name=f"hom({cat.objects[a]},-)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and each call of ``main`` gets a fresh namespace."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--format", choices=["json", "dot", "text"], default="json")

@@ -1089,13 +1089,20 @@ class UniversalPropertyReport:
         }
 
 
-def _collect(gen, cap: int, note: list):
+def _kept(gen, cap: int, note: list, keep) -> list:
+    """The items among the first ``cap`` of ``gen`` that ``keep`` accepts.
+
+    Each item is tested as it is drawn and dropped unless kept, so memory
+    holds only the kept ones.  ``cap + 1`` items are drawn at most; drawing
+    the last notes "sampled".
+    """
     out = []
-    for item in gen:
-        out.append(item)
-        if len(out) > cap:
+    for k, item in enumerate(gen):
+        if k == cap:
             note.append("sampled")
-            return out[:cap]
+            break
+        if keep(item):
+            out.append(item)
     return out
 
 
@@ -1132,13 +1139,14 @@ def universal_property_check(
     rng = random.Random(seed)
     cat = E.as_category()
     struct = completion_structure(E, flavor)
-    candidates = _collect(ps.enumerate_set_functors(C, value_bound, rng=rng), cap, notes)
-    flats = [F for F in candidates if fl.is_flat_set_valued(F).flat]
-    exacts = [
-        G
-        for G in _collect(ps.enumerate_set_functors(cat, value_bound, rng=rng), cap, notes)
-        if is_phi_exact_set_functor(G, struct, flavor)
-    ]
+    flats = _kept(
+        ps.enumerate_set_functors(C, value_bound, rng=rng), cap, notes,
+        lambda F: fl.is_flat_set_valued(F).flat,
+    )
+    exacts = _kept(
+        ps.enumerate_set_functors(cat, value_bound, rng=rng), cap, notes,
+        lambda G: is_phi_exact_set_functor(G, struct, flavor),
+    )
     failures: list[str] = []
     extensions_exact = restrictions_flat = round_trips_ok = True
     lans = []

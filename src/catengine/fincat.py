@@ -464,10 +464,19 @@ def compose_functors(g: FunctorData, f: FunctorData) -> FunctorData:
 class Diagram:
     shape: FiniteCategory
     body: FunctorData
+    # the dataclass hash, set once by __hash__; a class default rather than
+    # a field, so that equality and repr are unchanged
+    _hash = None
 
     def __post_init__(self):
         if self.body.source is not self.shape and self.body.source != self.shape:
             raise ValidationError("diagram body must be a functor out of its shape")
+
+    def __hash__(self) -> int:
+        # computed once: flatness memos and virtual-limit caches hash diagrams
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.shape, self.body)))
+        return self._hash
 
     @property
     def target(self) -> FiniteCategory:

@@ -16,7 +16,15 @@ caller is checked in full.  Only images of validated functors skip the
 check: the conversion of a (validated) ``SetFunctor``, made once per
 functor, and the composite of a functor with a diagram in
 ``composite_limit``.  The comparison maps are natural by construction and
-are built unchecked too.
+are built unchecked too, as is the weighted colimit of ``is_flat``.
+
+Every route compares against the same limit of ``F∘D``, so each
+``ConcreteFunctor`` keeps a memo of what is shared between routes: the
+limit cone of ``composite_limit`` keyed by the ``Diagram``, and the
+coproduct of a family's images in ``canonical_from_family`` keyed by the
+family's object indices.  The memo is set on first use and dies with the
+functor; the comparison maps built from it are rebuilt and tested on every
+call.
 """
 from __future__ import annotations
 
@@ -76,6 +84,9 @@ class ConcreteFunctor:
     morphisms: tuple[ps.NatTransformation, ...]
     name: str = field(default="F", compare=False)
     check: bool = field(default=True, compare=False)
+    # the shared limits and coproducts, set once by _memo; a class default
+    # rather than a field, so that functors never compared carry nothing
+    _shared = None
 
     def __post_init__(self):
         if not self.check:
@@ -114,18 +125,30 @@ def _as_concrete(F) -> ConcreteFunctor:
     raise ValidationError(f"cannot interpret {type(F).__name__} as a concrete functor")
 
 
+def _memo(F: ConcreteFunctor) -> dict:
+    if F._shared is None:
+        object.__setattr__(F, "_shared", {})
+    return F._shared
+
+
 def composite_limit(F: ConcreteFunctor, diagram: Diagram) -> ps.PresheafCone:
     """The pointwise limit of ``F`` composed with a diagram in its source.
 
-    The composite is not re-validated: ``F`` and the diagram's body are
-    both validated (or, for ``from_set_functor``, images of a validated
+    Built once per functor and (equal) diagram and kept in ``F``'s memo, so
+    every route and every ``preserves_limit`` call on ``F`` reads the same
+    cone.  The composite is not re-validated: ``F`` and the diagram's body
+    are both validated (or, for ``from_set_functor``, images of a validated
     functor), and a composite of functors is a functor.
     """
-    S = diagram.shape
-    vertices = tuple(F.objects[diagram.vertex(d)] for d in range(S.n_objects))
-    edges = tuple(F.morphisms[diagram.body.morphism_map[s]] for s in range(S.n_morphisms))
-    composite = ps.PresheafDiagram(S, vertices, edges, check=False)
-    return ps.limit(composite, base=F.target_base, name=f"lim F{diagram.describe()}")
+    memo = _memo(F)
+    lim = memo.get(diagram)
+    if lim is None:
+        S = diagram.shape
+        vertices = tuple(F.objects[diagram.vertex(d)] for d in range(S.n_objects))
+        edges = tuple(F.morphisms[diagram.body.morphism_map[s]] for s in range(S.n_morphisms))
+        composite = ps.PresheafDiagram(S, vertices, edges, check=False)
+        lim = memo[diagram] = ps.limit(composite, base=F.target_base, name=f"lim F{diagram.describe()}")
+    return lim
 
 
 def comparison_from_cone(F: ConcreteFunctor, cone: Cone, lim: ps.PresheafCone) -> ps.NatTransformation:
@@ -145,9 +168,15 @@ def comparison_from_cone(F: ConcreteFunctor, cone: Cone, lim: ps.PresheafCone) -
 def canonical_from_family(
     F: ConcreteFunctor, family: Sequence[tuple[int, Cone]], lim: ps.PresheafCone
 ) -> ps.NatTransformation:
-    """The canonical map from the coproduct of the family's images to the limit."""
+    """The canonical map from the coproduct of the family's images to the
+    limit; the coproduct is kept in ``F``'s memo, keyed by the family's
+    object indices."""
     B = F.target_base
-    cp = ps.coproduct(B, [F.objects[c] for (c, _) in family])
+    memo = _memo(F)
+    key = tuple(c for (c, _) in family)
+    cp = memo.get(key)
+    if cp is None:
+        cp = memo[key] = ps.coproduct(B, [F.objects[c] for c in key])
     comps = []
     for b in range(B.n_objects):
         comp = {}
@@ -247,7 +276,7 @@ def weighted_colimit_concrete(W: ps.Presheaf, F: ConcreteFunctor) -> tuple[ps.Pr
         for (c, w, u) in values[b]:
             act[(c, w, u)] = class_of[a][(c, w, F.objects[c].actions[f][u])]
         actions.append(act)
-    out = ps.Presheaf(B, tuple(values), tuple(actions), name=f"({W.name})*({F.name})")
+    out = ps.Presheaf(B, tuple(values), tuple(actions), name=f"({W.name})*({F.name})", check=False)
     return out, {b: class_of[b] for b in range(B.n_objects)}
 
 
@@ -272,7 +301,7 @@ def is_flat(F, diagrams=None, bound: int = 0) -> FlatVerdict:
                 if comp[(c, w, u)] not in fiber:
                     raise ValidationError("internal: comparison map leaves the limit")
             comps.append(comp)
-        cmp_nat = ps.NatTransformation(co, lim.apex, tuple(comps))
+        cmp_nat = ps.NatTransformation(co, lim.apex, tuple(comps), check=False)
         if not cmp_nat.is_pointwise_bijective():
             return FlatVerdict(
                 False,
@@ -377,7 +406,7 @@ def is_lex_set_valued(F: ps.SetFunctor, diagrams=None, bound: int = 0) -> FlatVe
     from .fincat import limit_in_category
 
     C = F.base
-    conc = ConcreteFunctor.from_set_functor(F)
+    conc = _as_concrete(F)
     for diagram in _sweep(C, diagrams, bound):
         cone = limit_in_category(diagram)
         if cone is None:

@@ -154,6 +154,27 @@ def test_cli_subprocess_entry():
     assert json.loads(proc.stdout)["morphisms"] == 2
 
 
+def test_parser_built_once_leaves_no_state(capsys):
+    # main reuses one parser; back-to-back commands, a default after an
+    # explicit value and a usage error print exactly what fresh processes print
+    assert cli.build_parser() is cli.build_parser()
+    runs = [
+        ["analyze-limits", "PAR", "--mode", "weak", "--diagram", "empty"],
+        ["validate", "Z2", "--format", "text"],
+        ["analyze-limits", "PAR", "--diagram", "empty"],
+        ["validate", "Z2", "--format", "xml"],
+    ]
+    for argv in runs:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        got = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "catengine.cli", *argv], capture_output=True, text=True)
+        assert (got.out, got.err, code) == (fresh.stdout, fresh.stderr, fresh.returncode), argv
+    assert code == 2 and "invalid choice: 'xml'" in got.err
+
+
 def test_analyze_limits_weight_dot(run):
     code, out = run("analyze-limits", "PAR", "--mode", "weak", "--diagram", "empty", "--format", "dot")
     assert code == 0

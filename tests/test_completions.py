@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import hashlib
+import weakref
 
 import pytest
 
@@ -364,3 +366,73 @@ def test_cli_completion_reports_pinned(case, capsys):
     code = cli.main(argv)
     out = capsys.readouterr().out
     assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == CLI_DIGESTS[case]
+
+
+# universal-property reports of every corpus category and flavor, computed
+# before candidates were tested as they are enumerated: a cap of 40 samples
+# most enumerations, and the second block enumerates in full
+UNIVERSAL_PROPERTY_DIGESTS = {
+    "ONE reg enumeration_cap=40,max_iterations=1": "1d352a6df4b70b59ca30e8337ebde982d4b1009c1bfa3307a4da2b19d9ee29bb",
+    "ONE lext enumeration_cap=40,max_iterations=1": "81fc2ac758740c266b2400fe767ddb04d92289aa592bbc5b3857f5f5fd40b057",
+    "ARROW reg enumeration_cap=40,max_iterations=1": "0ea254e53d71a5c43744490071a2f27c62eb68b02e3ec61b8f97dd71949ccf3f",
+    "ARROW lext enumeration_cap=40,max_iterations=1": "815e245d16d4da33ba33d6323d13c6867720d3f8b72fdaed3ebc7818dd64f319",
+    "PAR reg enumeration_cap=40,max_iterations=1": "e31060e33e6aa08a087805ac15d2c47f5a3b507f2baf2082c0f9e964fa6efaf9",
+    "PAR lext enumeration_cap=40,max_iterations=1": "84d8a3e24839558d1adc4c79dde3d7ba8cbb244dfa3bbbfbdb115b33a4bf5dc6",
+    "DISC2 reg enumeration_cap=40,max_iterations=1": "3e558907ae7e8e0db0cb7dd374cf39f5b77a93eac62a5a0ab04f4dac67e90817",
+    "DISC2 lext enumeration_cap=40,max_iterations=1": "bd18fbce44e39182888666523a70f2a9a4080d04a3e39dea31b217469b840369",
+    "Z2 reg enumeration_cap=40,max_iterations=1": "27af33884afba607a9035dd5de76df84ccbc54b0391c385d60e80d98096e98c1",
+    "Z2 lext enumeration_cap=40,max_iterations=1": "c23fa3135aa9ff11cb266e78461fad88ffb578263dd971a9831cdf17fb10557b",
+    "CHAIN3 reg enumeration_cap=40,max_iterations=1": "37e25b95201c11f075b9aeac5f6303bc8f64a7e031061dbb614801dd1c3c2ef3",
+    "CHAIN3 lext enumeration_cap=40,max_iterations=1": "815e245d16d4da33ba33d6323d13c6867720d3f8b72fdaed3ebc7818dd64f319",
+    "SPLIT reg enumeration_cap=40,max_iterations=1": "8da586fd04e1b4b2141247d22ef0d0993d83d06700993bfb4b2dccfb9a72a5aa",
+    "SPLIT lext enumeration_cap=40,max_iterations=1": "bdcf2d11d6881b199a04da4b884c0f35d0bfcc6849b34f1e422ce5bda1981b9e",
+    "DISC2 reg max_iterations=1": "a90c946aab8b1446322350ac4be6bc593bea68f21b889365a0da726dd6c1f4a6",
+    "Z2 reg max_iterations=1": "9ca86675814bbd1281a00c48802902daa7cd0c9f5ba387ac6dff243e89896ff3",
+    "CHAIN3 reg max_iterations=1": "65fc68028bec33b493e8591efdada5fb0b4090fe60e5ad76e6212195578c09fc",
+    "SPLIT reg max_iterations=1": "028b75bbc3766581260b5f2ca66644247d8e4d3c1e713bb523334f88ff2ecced",
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNIVERSAL_PROPERTY_DIGESTS))
+def test_universal_property_reports_pinned(case, capsys):
+    name, flavor, bounds = case.split()
+    code = cli.main(["universal-property", "--category", name, "--flavor", flavor, "--bounds", bounds])
+    out = capsys.readouterr().out
+    assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == UNIVERSAL_PROPERTY_DIGESTS[case]
+
+
+def test_universal_property_streams_candidates(cats, monkeypatch):
+    # each candidate is tested as it is drawn: when the next one is drawn,
+    # every earlier candidate but the one just tested is dead unless it was
+    # kept as flat (base) or exact (completion); each enumeration still draws
+    # cap + 1 candidates, one more than it tests
+    C, cap = cats["DISC2"], 5
+    E = cp.close(C, "reg", cp.Bounds(max_iterations=1))
+    struct = cp.completion_structure(E, "reg")
+    enumerate_set_functors = ps.enumerate_set_functors
+    draws, dead = [], [0]
+
+    def kept(G) -> bool:
+        if G.base == C:
+            return fl.is_flat_set_valued(G).flat
+        return cp.is_phi_exact_set_functor(G, struct, "reg")
+
+    def watched(cat, n, rng=None):
+        drawn = []
+        draws.append(drawn)
+        for G in enumerate_set_functors(cat, n, rng=rng):
+            gc.collect()
+            for ref in drawn[:-1]:
+                H = ref()
+                if H is None:
+                    dead[0] += 1
+                else:
+                    assert kept(H)
+                    del H
+            drawn.append(weakref.ref(G))
+            yield G
+
+    monkeypatch.setattr(ps, "enumerate_set_functors", watched)
+    report = cp.universal_property_check(C, E, 2, flavor="reg", cap=cap)
+    assert report.sampled and [len(d) for d in draws] == [cap + 1, cap + 1]
+    assert dead[0] > 0 and report.flats + report.exacts < 2 * cap

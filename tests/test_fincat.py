@@ -325,3 +325,22 @@ def test_cached_hash_is_the_dataclass_hash_on_corpus(cats):
 @given(dag_categories())
 def test_cached_hash_is_the_dataclass_hash_on_random_dags(C):
     _assert_dataclass_hash(C)
+
+
+def _assert_diagram_hashes(C: fc.FiniteCategory) -> None:
+    # the flatness memos and the virtual-limit cache are keyed by diagrams
+    for d in vl.swept_diagrams(C, 1):
+        assert hash(d) == hash((d.shape, d.body)) == hash(d)
+        twin = fc.Diagram(d.shape, d.body)
+        assert twin is not d and twin == d and hash(twin) == hash(d)
+
+
+def test_cached_diagram_hash_is_the_dataclass_hash_on_corpus(cats):
+    for C in cats.values():
+        _assert_diagram_hashes(C)
+
+
+@settings(max_examples=25, deadline=None)
+@given(dag_categories())
+def test_cached_diagram_hash_is_the_dataclass_hash_on_random_dags(C):
+    _assert_diagram_hashes(C)

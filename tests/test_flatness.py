@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import gc
 import hashlib
 import json
 import sys
+import weakref
 
 import pytest
 
@@ -225,8 +227,8 @@ def trusted_built(monkeypatch):
 def test_trusted_images_revalidate(cats, monkeypatch, trusted_built):
     # every functor, composite diagram, presheaf and transformation built
     # without re-validation during the census passes the full check when
-    # rebuilt with check=True, and each set functor is converted once by the
-    # routes and once per call of the lex route
+    # rebuilt with check=True, and each set functor is converted once, the
+    # lex route included
     functors, converted, lex_calls, composites = {}, collections.Counter(), collections.Counter(), [0]
     from_set_functor = fl.ConcreteFunctor.from_set_functor
     composite_limit = fl.composite_limit
@@ -256,19 +258,99 @@ def test_trusted_images_revalidate(cats, monkeypatch, trusted_built):
     monkeypatch.setitem(CENSUS_ROUTES, "lex", counted_is_lex_set_valued)
     for name, C in cats.items():
         census_digest(C, census_value_bound(name))
-    # the census enumerates 193 set functors and runs every route on each:
-    # the routes convert each one once, and the lex route converts afresh,
-    # once per call rather than once per preserves_limit call (316 of them)
-    assert len(functors) == 193 and sum(converted.values()) == 193 + sum(lex_calls.values()) == 423
-    assert all(converted[f] == 1 + lex_calls[f] for f in functors)
+    # the census enumerates 193 set functors and runs every route on each;
+    # every route, the lex route's 230 calls included, reads the one
+    # conversion kept on the functor
+    assert len(functors) == 193 and sum(converted.values()) == 193 and sum(lex_calls.values()) == 230
+    assert all(converted[f] == 1 for f in functors)
     assert composites[0] > 1000, composites
+    # each composite limit and family coproduct is built once per functor
+    # and kept in its memo, so (co)limits count in hundreds, not thousands;
+    # the exact counts depend on which virtual limits earlier tests cached
     floors = {
-        ("Presheaf", "limit"): 1000, ("Presheaf", "colimit"): 1000, ("Presheaf", "from_set_functor"): 300,
-        ("NatTransformation", "limit"): 1000, ("NatTransformation", "colimit"): 1000,
+        ("Presheaf", "limit"): 500, ("Presheaf", "colimit"): 400,
+        ("NatTransformation", "limit"): 600, ("NatTransformation", "colimit"): 400,
+        ("Presheaf", "from_set_functor"): 300, ("Presheaf", "weighted_colimit_concrete"): 500,
         ("NatTransformation", "from_set_functor"): 300, ("NatTransformation", "identity_nat"): 1000,
+        ("NatTransformation", "is_flat"): 500,
         ("NatTransformation", "comparison_from_cone"): 100, ("NatTransformation", "canonical_from_family"): 1000,
     }
     assert all(trusted_built[kind] >= n for kind, n in floors.items()), trusted_built
+
+
+# -- the memo of composite limits and family coproducts ---------------------------
+
+
+def _fresh_limit(F: fl.ConcreteFunctor, diagram: fc.Diagram) -> ps.PresheafCone:
+    """The limit of ``F`` composed with ``diagram``, built with every check."""
+    S = diagram.shape
+    composite = ps.PresheafDiagram(
+        S,
+        tuple(F.objects[diagram.vertex(d)] for d in range(S.n_objects)),
+        tuple(F.morphisms[diagram.body.morphism_map[s]] for s in range(S.n_morphisms)),
+    )
+    return ps.limit(composite, base=F.target_base)
+
+
+def _cone_data(cone: ps.PresheafCone):
+    return cone.apex.values, cone.apex.actions, tuple(leg.components for leg in cone.legs)
+
+
+def test_composite_limit_memo_is_per_functor(cats):
+    PAR = cats["PAR"]
+    F = hom_functor(PAR, 0)
+    d = fc.pair_diagram(PAR, 0, 1)
+    conc = fl.ConcreteFunctor.from_set_functor(F)
+    lim = fl.composite_limit(conc, d)
+    assert fl.composite_limit(conc, d) is lim
+    assert fl.composite_limit(conc, fc.pair_diagram(PAR, 0, 1)) is lim  # an equal diagram
+    family = [(0, fc.Cone(d, 0, (0, 2))), (0, fc.Cone(d, 0, (0, 3)))]
+    assert fl.canonical_from_family(conc, family, lim).source is fl.canonical_from_family(conc, family, lim).source
+    # an equal functor keeps a memo of its own
+    twin = fl.ConcreteFunctor.from_set_functor(F)
+    assert fl.composite_limit(twin, d) is not lim and twin._shared is not conc._shared
+    assert _cone_data(fl.composite_limit(twin, d)) == _cone_data(lim)
+    # and the memo dies with its functor
+    refs = [weakref.ref(conc), weakref.ref(lim), weakref.ref(lim.apex)]
+    del conc, lim
+    gc.collect()
+    assert all(r() is None for r in refs)
+
+
+def test_census_memo_matches_fresh_limits(cats, monkeypatch):
+    # after every census route has run at sweep 1, each functor's memoised
+    # composite limits equal limits built afresh with every check, and the
+    # routes read limits and coproducts from the memo instead of rebuilding them
+    hits = collections.Counter()
+    composite_limit, canonical_from_family = fl.composite_limit, fl.canonical_from_family
+
+    def counted_composite_limit(F, diagram):
+        hits["limit"] += F._shared is not None and diagram in F._shared
+        return composite_limit(F, diagram)
+
+    def counted_canonical_from_family(F, family, lim):
+        hits["coproduct"] += F._shared is not None and tuple(c for (c, _) in family) in F._shared
+        return canonical_from_family(F, family, lim)
+
+    monkeypatch.setattr(fl, "composite_limit", counted_composite_limit)
+    for method, entry in fl._STRUCTURAL.items():
+        if entry[2] is canonical_from_family:
+            monkeypatch.setitem(fl._STRUCTURAL, method, entry[:2] + (counted_canonical_from_family,) + entry[3:])
+    compared = 0
+    for name, C in cats.items():
+        diagrams = vl.swept_diagrams(C, 1)
+        for F in ps.enumerate_set_functors(C, census_value_bound(name)):
+            for fn in CENSUS_ROUTES.values():
+                try:
+                    fn(F, bound=1)
+                except (NoWeakLimit, NoMultilimit, NoMultiFiniteLimit):
+                    pass
+            conc = fl._as_concrete(F)
+            for d in diagrams:
+                if d in conc._shared:
+                    assert _cone_data(conc._shared[d]) == _cone_data(_fresh_limit(conc, d)), (name, d.describe())
+                    compared += 1
+    assert compared > 500 and hits["limit"] > 1000 and hits["coproduct"] > 500, (compared, hits)
 
 
 def test_trusted_completion_objects_revalidate(capsys, trusted_built):
