@@ -3,6 +3,13 @@
 Objects and morphisms are dense integer ids; human-readable names live in
 parallel tables so input files stay legible while the core stays fast.
 Everything here is immutable after validation and safe to share.
+
+Every exhaustive search of the engine -- functors, (co)cones, natural
+transformations and isomorphisms, ultraproduct cocones -- runs on
+:func:`backtrack`, one depth-first kernel.  Callers give the variables in
+branching order, the values to try for each and the pairs that a decision
+forces; the kernel owns the assignment, propagation, clashes and undo, and
+lists solutions in the order of the product of the domains.
 """
 from __future__ import annotations
 
@@ -601,60 +608,112 @@ class Cocone:
                 raise ValidationError("cocone legs do not commute")
 
 
-def _search_legs(diagram: Diagram, apex: int, into_apex: bool):
-    """DFS over leg assignments, pruning on every decided commutation."""
+# -- the search kernel ----------------------------------------------------------
+
+
+def backtrack(order: Sequence, domain, forced, decided=()) -> Iterator[dict]:
+    """Every assignment of the variables in ``order`` that nothing contradicts.
+
+    Branches on the variables of ``order`` in turn, over the values of
+    ``domain(var)`` in their order, skipping one already decided.  Assigning
+    ``var = x`` asks ``forced(var, x, assigned)`` for the ``(var, value)``
+    pairs that it forces given the assignment so far, or ``None`` for a
+    contradiction; forced pairs, which may name variables outside ``order``,
+    are assigned in turn to a fixed point.  A variable given a second value
+    is a clash, and the branch is undone.  The pairs of ``decided`` are
+    propagated before the search starts.
+
+    Yields the kernel's own assignment dict at each solution, so read it
+    before drawing the next.  Solutions come in the lexicographic order of
+    the branched values: where forcing only prunes, the consistent tuples of
+    ``itertools.product`` over the domains, in its order.  Runs on a stack
+    of frames, each a branched variable's values left and its trail mark.
+    """
+    assigned: dict = {}
+    trail: list = []
+
+    def undo(mark: int) -> None:
+        while len(trail) > mark:
+            del assigned[trail.pop()]
+
+    def decide(var, x) -> bool:
+        work = [(var, x)]
+        while work:
+            var, x = work.pop()
+            if var in assigned:
+                if assigned[var] != x:
+                    return False
+                continue
+            assigned[var] = x
+            trail.append(var)
+            more = forced(var, x, assigned)
+            if more is None:
+                return False
+            work.extend(more)
+        return True
+
+    for var, x in decided:
+        if not decide(var, x):
+            return
+    n = len(order)
+    frames: list[tuple[int, Iterator, int]] = []  # (position in order, values left, trail mark)
+    i = 0
+    while True:
+        while i < n and order[i] in assigned:
+            i += 1
+        if i == n:
+            yield assigned
+        else:
+            frames.append((i, iter(domain(order[i])), len(trail)))
+        while frames:  # resume the deepest frame with a value left that does not clash
+            i, values, mark = frames[-1]
+            for x in values:
+                undo(mark)
+                if decide(order[i], x):
+                    break
+            else:
+                frames.pop()
+                continue
+            i += 1
+            break
+        else:
+            return
+
+
+def _search_legs(diagram: Diagram, apex: Optional[int], cocone: bool) -> list:
+    """Every cone (or cocone) over the diagram with the given apex, or with
+    any apex in turn: one variable per shape object over its legs, pruned
+    by the commutations that each vertex's leg makes decidable."""
     C, S = diagram.target, diagram.shape
     n = S.n_objects
-    pools = [
-        C.hom(diagram.vertex(d), apex) if into_apex else C.hom(apex, diagram.vertex(d))
-        for d in range(n)
-    ]
-    constraints = [[] for _ in range(n)]  # checks runnable once object d is assigned
+    constraints = [[] for _ in range(n)]  # (d, d2, image of s) checkable once object d is assigned
     for s in range(S.n_morphisms):
         d, d2 = S.src[s], S.tgt[s]
-        constraints[max(d, d2)].append(s)
-    legs: list[int] = []
+        if not S.is_identity(s):  # an identity commutes with every leg
+            constraints[max(d, d2)].append((d, d2, diagram.body.morphism_map[s]))
+
+    def commutes(d: int, _leg: int, legs: dict):
+        if cocone:
+            return () if all(C.table[legs[d2]][m] == legs[d1] for d1, d2, m in constraints[d]) else None
+        return () if all(C.table[m][legs[d1]] == legs[d2] for d1, d2, m in constraints[d]) else None
+
     out = []
-
-    def ok(s: int) -> bool:
-        d, d2 = S.src[s], S.tgt[s]
-        m = diagram.body.morphism_map[s]
-        if into_apex:
-            return C.table[legs[d2]][m] == legs[d]
-        return C.table[m][legs[d]] == legs[d2]
-
-    def rec(d: int):
-        if d == n:
-            out.append(tuple(legs))
-            return
-        for leg in pools[d]:
-            legs.append(leg)
-            if all(ok(s) for s in constraints[d]):
-                rec(d + 1)
-            legs.pop()
-
-    rec(0)
+    for c in range(C.n_objects) if apex is None else [apex]:
+        pools = [C.hom(diagram.vertex(d), c) if cocone else C.hom(c, diagram.vertex(d)) for d in range(n)]
+        if all(pools):
+            out += [
+                (Cocone if cocone else Cone)(diagram, c, tuple(legs[d] for d in range(n)))
+                for legs in backtrack(range(n), pools.__getitem__, commutes)
+            ]
     return out
 
 
 def all_cones(diagram: Diagram, apex: Optional[int] = None) -> list[Cone]:
-    C = diagram.target
-    apexes = range(C.n_objects) if apex is None else [apex]
-    return [
-        Cone(diagram, c, legs)
-        for c in apexes
-        for legs in _search_legs(diagram, c, into_apex=False)
-    ]
+    return _search_legs(diagram, apex, cocone=False)
 
 
 def all_cocones(diagram: Diagram, apex: Optional[int] = None) -> list[Cocone]:
-    C = diagram.target
-    apexes = range(C.n_objects) if apex is None else [apex]
-    return [
-        Cocone(diagram, c, legs)
-        for c in apexes
-        for legs in _search_legs(diagram, c, into_apex=True)
-    ]
+    return _search_legs(diagram, apex, cocone=True)
 
 
 _LIMIT_CACHE: dict[Diagram, Optional[Cone]] = {}
@@ -766,22 +825,29 @@ def _generators(cat: FiniteCategory) -> list[int]:
 def enumerate_functors(source: FiniteCategory, target: FiniteCategory, rng=None) -> Iterator[FunctorData]:
     """Yield every functor ``source -> target`` in a deterministic order.
 
-    Backtracks over a generating set of morphisms; every composite whose
+    For each object map, :func:`backtrack` branches over a generating set of
+    morphisms with the identities decided in advance; every composite whose
     factors are decided is forced immediately, so contradictions prune
-    branches early.  With ``rng`` the branch orders are shuffled
-    (deterministically for a seeded generator), which turns truncated
-    enumeration into fair sampling.
+    branches early and a complete assignment is a functor.  With ``rng`` the
+    branch orders are shuffled (deterministically for a seeded generator),
+    which turns truncated enumeration into fair sampling.
     """
     gens = _generators(source)
     n = source.n_morphisms
-    left_of = [[] for _ in range(n)]   # m -> [(g, g∘m)]
-    right_of = [[] for _ in range(n)]  # m -> [(f, m∘f)]
-    for g in range(n):
-        for f in range(n):
+    # m -> [(k, c, first)] with c = m∘k if first else k∘m; a composite with
+    # an identity forces nothing, so only non-identities are listed
+    around = [[] for _ in range(n)]
+    nonid = [m for m in range(n) if not source.is_identity(m)]
+    for g in nonid:
+        for f in nonid:
             c = source.table[g][f]
             if c >= 0:
-                left_of[f].append((g, c))
-                right_of[g].append((f, c))
+                around[f].append((g, c, False))
+                around[g].append((f, c, True))
+    table = target.table
+
+    def composites(m: int, val: int, mmap: dict) -> list:
+        return [(c, table[val][mmap[k]] if first else table[mmap[k]][val]) for k, c, first in around[m] if k in mmap]
 
     def choices(seq):
         seq = list(seq)
@@ -790,61 +856,15 @@ def enumerate_functors(source: FiniteCategory, target: FiniteCategory, rng=None)
         return seq
 
     for omap in itertools.product(*[choices(range(target.n_objects)) for _ in range(source.n_objects)]):
-        pools = []
-        feasible = True
+        pools = {}
         for m in gens:
-            pool = choices(target.hom(omap[source.src[m]], omap[source.tgt[m]]))
-            if not pool:
-                feasible = False
+            pools[m] = choices(target.hom(omap[source.src[m]], omap[source.tgt[m]]))
+            if not pools[m]:
                 break
-            pools.append(pool)
-        if not feasible:
-            continue
-        mmap = [-1] * n
-        for a in range(source.n_objects):
-            mmap[source.identity[a]] = target.identity[omap[a]]
-
-        def assign(m, val, trail) -> bool:
-            stack = [(m, val)]
-            while stack:
-                mm, vv = stack.pop()
-                if mmap[mm] != -1:
-                    if mmap[mm] != vv:
-                        return False
-                    continue
-                mmap[mm] = vv
-                trail.append(mm)
-                for (g, c) in left_of[mm]:
-                    if mmap[g] != -1:
-                        stack.append((c, target.table[mmap[g]][vv]))
-                for (f, c) in right_of[mm]:
-                    if mmap[f] != -1:
-                        stack.append((c, target.table[vv][mmap[f]]))
-            return True
-
-        def rec(k):
-            if k == len(gens):
-                ok = all(
-                    mmap[source.table[g][f]] == target.table[mmap[g]][mmap[f]]
-                    for g in range(n)
-                    for f in range(n)
-                    if source.table[g][f] >= 0
-                )
-                if ok and all(v != -1 for v in mmap):
-                    yield FunctorData(source, target, tuple(omap), tuple(mmap), check=False)
-                return
-            m = gens[k]
-            if mmap[m] != -1:
-                yield from rec(k + 1)
-                return
-            for val in pools[k]:
-                trail: list[int] = []
-                if assign(m, val, trail):
-                    yield from rec(k + 1)
-                for mm in trail:
-                    mmap[mm] = -1
-
-        yield from rec(0)
+        else:
+            identities = [(source.identity[a], target.identity[omap[a]]) for a in range(source.n_objects)]
+            for mmap in backtrack(gens, pools.__getitem__, composites, identities):
+                yield FunctorData(source, target, omap, tuple(mmap[m] for m in range(n)), check=False)
 
 
 # -- the category of bounded finite sets ------------------------------------

@@ -165,6 +165,11 @@ def comparison_from_cone(F: ConcreteFunctor, cone: Cone, lim: ps.PresheafCone) -
     return ps.NatTransformation(src, lim.apex, comps, check=False)
 
 
+def comparison_from_weak_limit(F: ConcreteFunctor, wl: tuple[int, Cone], lim: ps.PresheafCone) -> ps.NatTransformation:
+    """The comparison induced by the cone of a weak limit ``(apex, cone)``."""
+    return comparison_from_cone(F, wl[1], lim)
+
+
 def canonical_from_family(
     F: ConcreteFunctor, family: Sequence[tuple[int, Cone]], lim: ps.PresheafCone
 ) -> ps.NatTransformation:
@@ -321,26 +326,27 @@ def _structural(method: str, F, diagrams, bound: int) -> FlatVerdict:
     F = _as_concrete(F)
     C = F.source
     for diagram in _sweep(C, diagrams, bound):
-        # looked up per call, so a rebinding of the detector is seen here
+        # looked up per call, so a rebinding of the detector or comparison is seen here
         found = getattr(vl, detector)(vl.virtual_limit(C, diagram))
         if found is None:
             raise missing(diagram.describe())
-        comp = comparison(F, found, composite_limit(F, diagram))
+        comp = globals()[comparison](F, found, composite_limit(F, diagram))
         if not (comp.is_pointwise_bijective() if bijective else comp.is_pointwise_surjective()):
             return FlatVerdict(False, FailingWeight(diagram.describe(), detail), method)
     return FlatVerdict(True, None, method)
 
 
-# method -> (virtlim detector, raised when it finds nothing, comparison map,
-#            whether the map must be bijective rather than surjective, failure detail)
+# method -> (virtlim detector, raised when it finds nothing, comparison map in
+#            this module, whether it must be bijective rather than surjective,
+#            failure detail); both functions by name
 _STRUCTURAL = {
-    "covering": ("weak_limit", NoWeakLimit, lambda F, wl, lim: comparison_from_cone(F, wl[1], lim),
+    "covering": ("weak_limit", NoWeakLimit, "comparison_from_weak_limit",
                  False, "weak-limit comparison is not a regular epi"),
-    "multi": ("multilimit", NoMultilimit, canonical_from_family,
+    "multi": ("multilimit", NoMultilimit, "canonical_from_family",
               True, "multilimit comparison is not an isomorphism"),
-    "fc": ("fc_limit", None, canonical_from_family,
+    "fc": ("fc_limit", None, "canonical_from_family",
            False, "fc-family comparison is not a regular epi"),
-    "merge": ("multi_finite_limit", NoMultiFiniteLimit, canonical_from_family,
+    "merge": ("multi_finite_limit", NoMultiFiniteLimit, "canonical_from_family",
               True, "multi-finite comparison is not an isomorphism"),
 }
 

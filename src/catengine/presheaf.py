@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Iterator, Optional, Sequence
 
 from .errors import FiberCapExceeded, ValidationError
-from .fincat import FiniteCategory, FunctorData, opposite
+from .fincat import FiniteCategory, FunctorData, backtrack, opposite
 
 FIBER_CAP = 64
 
@@ -667,73 +667,46 @@ def _element_colors(M: Presheaf) -> dict[tuple[int, Hashable], int]:
         color = new
 
 
-def _nat_search(M: Presheaf, N: Presheaf, bijective: bool, max_results: Optional[int]) -> list[NatTransformation]:
+def _nat_search(M: Presheaf, N: Presheaf, bijective: bool) -> Iterator[NatTransformation]:
+    """The natural transformations ``M -> N``, or its isomorphisms when
+    ``bijective``, in the order of :func:`fincat.backtrack`.
+
+    The variables are the elements ``(a, x)`` of ``M``, each over
+    ``N.values[a]``; deciding ``x ↦ y`` forces ``M(f)(x) ↦ N(f)(y)`` for
+    every ``f`` into ``a``.  An isomorphism's inverse is a map too, so there
+    ``x ↦ y`` also forces the inverse variable ``("inv", a, y)`` to ``x``,
+    where two elements sent to one ``y`` clash, and colours must agree.
+    """
     C = M.base
     if N.base != C:
         raise ValidationError("search needs presheaves on a shared base")
     if bijective:
         if M.fiber_sizes() != N.fiber_sizes():
-            return []
+            return
         cm, cn = _element_colors(M), _element_colors(N)
         for a in range(C.n_objects):
             if sorted(cm[(a, x)] for x in M.values[a]) != sorted(cn[(a, y)] for y in N.values[a]):
-                return []
-    else:
-        cm = cn = None
-    order = [(a, x) for a in range(C.n_objects) for x in M.values[a]]
-    results: list[NatTransformation] = []
-    assign: dict[tuple[int, Hashable], Hashable] = {}
-    used: list[set] = [set() for _ in range(C.n_objects)]
+                return
     into: list[list[int]] = [[] for _ in range(C.n_objects)]  # f with tgt[f] == a, ascending
     for f in range(C.n_morphisms):
         into[C.tgt[f]].append(f)
 
-    def propagate(queue, trail) -> bool:
-        while queue:
-            a, x, y = queue.pop()
-            key = (a, x)
-            if key in assign:
-                if assign[key] != y:
-                    return False
-                continue
-            if bijective and (y in used[a] or cm[key] != cn[(a, y)]):
-                return False
-            assign[key] = y
-            used[a].add(y)
-            trail.append(key)
-            for f in into[a]:
-                queue.append((C.src[f], M.actions[f][x], N.actions[f][y]))
-        return True
+    def forced(key, y, _assigned):
+        if len(key) == 3:  # an inverse variable
+            return ()
+        a, x = key
+        pairs = [((C.src[f], M.actions[f][x]), N.actions[f][y]) for f in into[a]]
+        if bijective:
+            if cm[key] != cn[(a, y)]:
+                return None
+            pairs.append((("inv", a, y), x))
+        return pairs
 
-    def undo(trail):
-        for key in trail:
-            y = assign.pop(key)
-            used[key[0]].discard(y)
-
-    def rec(i: int) -> bool:
-        if max_results is not None and len(results) >= max_results:
-            return True
-        if i == len(order):
-            comps = tuple(
-                {x: assign[(a, x)] for x in M.values[a]} for a in range(C.n_objects)
-            )
-            # a complete assignment is closed under propagate, so natural
-            results.append(NatTransformation(M, N, comps, check=False))
-            return max_results is not None and len(results) >= max_results
-        a, x = order[i]
-        if (a, x) in assign:
-            return rec(i + 1)
-        for y in N.values[a]:
-            trail: list = []
-            if propagate([(a, x, y)], trail):
-                if rec(i + 1):
-                    undo(trail)
-                    return True
-            undo(trail)
-        return False
-
-    rec(0)
-    return results
+    order = [(a, x) for a in range(C.n_objects) for x in M.values[a]]
+    for assigned in backtrack(order, lambda key: N.values[key[0]], forced):
+        comps = tuple({x: assigned[(a, x)] for x in M.values[a]} for a in range(C.n_objects))
+        # a complete assignment is closed under propagation, so natural
+        yield NatTransformation(M, N, comps, check=False)
 
 
 def hom_set(M: Presheaf, N: Presheaf, max_results: Optional[int] = None) -> list[NatTransformation]:
@@ -742,7 +715,7 @@ def hom_set(M: Presheaf, N: Presheaf, max_results: Optional[int] = None) -> list
     ``max_results`` stops the search early, for callers that only need to
     know whether a hom-set is small.
     """
-    return _nat_search(M, N, bijective=False, max_results=max_results)
+    return list(itertools.islice(_nat_search(M, N, bijective=False), max_results))
 
 
 def find_iso(M: Presheaf, N: Presheaf) -> Optional[NatTransformation]:
@@ -752,10 +725,9 @@ def find_iso(M: Presheaf, N: Presheaf) -> Optional[NatTransformation]:
     then found by backtracking; the result is natural by construction and
     verified pointwise bijective before being returned.
     """
-    found = _nat_search(M, N, bijective=True, max_results=1)
-    if not found:
+    t = next(_nat_search(M, N, bijective=True), None)
+    if t is None:
         return None
-    t = found[0]
     if not t.is_pointwise_bijective():
         raise ValidationError("internal: candidate isomorphism is not bijective")
     return t

@@ -21,6 +21,7 @@ from .fincat import (
     FiniteCategory,
     FunctorData,
     all_cocones,
+    backtrack,
     category_from_arrows,
     colimit_in_category,
     full_subcategory,
@@ -200,7 +201,8 @@ def _restriction_components(inst, stages, S: frozenset, S2: frozenset):
 
 
 def _cocones_into(inst, stages, N: int) -> list[dict]:
-    """All compatible families of stage maps into the representable at ``N``."""
+    """All compatible families of stage maps into the representable at ``N``:
+    one variable per member, each choice checked against those before it."""
     host = inst.host
     members = inst.ultrafilter.members
     YN = ps.yoneda(host, N)
@@ -210,31 +212,22 @@ def _cocones_into(inst, stages, N: int) -> list[dict]:
         for S2 in members
         if S2 <= S
     }
-    out: list[dict] = []
     choices = [ps.hom_set(stages[S].apex, YN) for S in members]
 
-    def rec(k: int, chosen: list):
-        if k == len(members):
-            out.append({members[i]: chosen[i] for i in range(len(members))})
-            return
+    def compatible(k: int, cand, chosen: dict):
         S = members[k]
-        for cand in choices[k]:
-            ok = True
-            for i in range(k):
-                S2 = members[i]
-                if S2 <= S and ps.compose_nats(chosen[i], res[(S, S2)]).components != cand.components:
-                    ok = False
-                elif S <= S2 and ps.compose_nats(cand, res[(S2, S)]).components != chosen[i].components:
-                    ok = False
-                if not ok:
-                    break
-            if ok:
-                chosen.append(cand)
-                rec(k + 1, chosen)
-                chosen.pop()
+        for i in range(k):
+            S2 = members[i]
+            if S2 <= S and ps.compose_nats(chosen[i], res[(S, S2)]).components != cand.components:
+                return None
+            if S <= S2 and ps.compose_nats(cand, res[(S2, S)]).components != chosen[i].components:
+                return None
+        return ()
 
-    rec(0, [])
-    return out
+    return [
+        {S: chosen[i] for i, S in enumerate(members)}
+        for chosen in backtrack(range(len(members)), choices.__getitem__, compatible)
+    ]
 
 
 def universal_ultraproduct(inst: UltraInstance) -> Optional[UltraCocone]:

@@ -1,8 +1,9 @@
 """Brute-force re-implementations used as independent ground truth.
 
-Nothing here calls the engine's weight machinery, union-find quotients, or
-detector shortcuts: cones are enumerated directly from the composition
-table and the definitional factorization conditions are checked verbatim.
+Nothing here calls the engine's weight machinery, union-find quotients,
+detector shortcuts or search kernel: cones are enumerated directly from the
+composition table and the definitional factorization conditions are checked
+verbatim.
 """
 from __future__ import annotations
 
@@ -32,6 +33,93 @@ def _factorizations(C, cone, through):
         for f in C.hom(apex, apex2)
         if all(C.table[legs2[d]][f] == legs[d] for d in range(len(legs)))
     ]
+
+
+def enumerate_functors_recursive(source, target, rng=None):
+    """Every functor ``source -> target`` as ``(object_map, morphism_map)``,
+    by the recursive search that ``fincat.enumerate_functors`` ran before it
+    moved onto ``fincat.backtrack``: the order oracle of the port.
+
+    Backtracks over ``fincat._generators(source)`` per object map, forcing
+    every composite whose factors are decided, and re-checks functoriality
+    of each complete map; ``rng`` shuffles the pools exactly as the engine
+    does, so a generator seeded alike draws the same sequence.
+    """
+    from catengine.fincat import _generators
+
+    gens = _generators(source)
+    n = source.n_morphisms
+    left_of = [[] for _ in range(n)]   # m -> [(g, g∘m)]
+    right_of = [[] for _ in range(n)]  # m -> [(f, m∘f)]
+    for g in range(n):
+        for f in range(n):
+            c = source.table[g][f]
+            if c >= 0:
+                left_of[f].append((g, c))
+                right_of[g].append((f, c))
+
+    def choices(seq):
+        seq = list(seq)
+        if rng is not None:
+            rng.shuffle(seq)
+        return seq
+
+    for omap in itertools.product(*[choices(range(target.n_objects)) for _ in range(source.n_objects)]):
+        pools = []
+        feasible = True
+        for m in gens:
+            pool = choices(target.hom(omap[source.src[m]], omap[source.tgt[m]]))
+            if not pool:
+                feasible = False
+                break
+            pools.append(pool)
+        if not feasible:
+            continue
+        mmap = [-1] * n
+        for a in range(source.n_objects):
+            mmap[source.identity[a]] = target.identity[omap[a]]
+
+        def assign(m, val, trail) -> bool:
+            stack = [(m, val)]
+            while stack:
+                mm, vv = stack.pop()
+                if mmap[mm] != -1:
+                    if mmap[mm] != vv:
+                        return False
+                    continue
+                mmap[mm] = vv
+                trail.append(mm)
+                for (g, c) in left_of[mm]:
+                    if mmap[g] != -1:
+                        stack.append((c, target.table[mmap[g]][vv]))
+                for (f, c) in right_of[mm]:
+                    if mmap[f] != -1:
+                        stack.append((c, target.table[vv][mmap[f]]))
+            return True
+
+        def rec(k):
+            if k == len(gens):
+                ok = all(
+                    mmap[source.table[g][f]] == target.table[mmap[g]][mmap[f]]
+                    for g in range(n)
+                    for f in range(n)
+                    if source.table[g][f] >= 0
+                )
+                if ok and all(v != -1 for v in mmap):
+                    yield tuple(omap), tuple(mmap)
+                return
+            m = gens[k]
+            if mmap[m] != -1:
+                yield from rec(k + 1)
+                return
+            for val in pools[k]:
+                trail: list[int] = []
+                if assign(m, val, trail):
+                    yield from rec(k + 1)
+                for mm in trail:
+                    mmap[mm] = -1
+
+        yield from rec(0)
 
 
 def weak_limit_exists(diagram) -> bool:

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import collections
 import hashlib
+import itertools
 import json
+import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from catengine import completions as cp
@@ -262,6 +265,115 @@ def test_universality_search_matches_oracle(cats):
 @given(dag_categories())
 def test_universality_search_matches_oracle_on_free_categories(C):
     _check_universality(C)
+
+
+def test_cone_search_order_matches_oracle(cats):
+    # all_cones lists cones in the oracle's order: apexes ascending, then
+    # itertools.product over the legs; all_cocones lists the cones of the
+    # opposite diagram in the same order
+    hosts = list(cats.values()) + vl.dag_shapes(2) + [fc.finset_category(2)[0]]
+    sizes = collections.Counter()
+    for C in hosts:
+        for D in vl.generating_diagrams(C):
+            cones = [(c.apex, c.legs) for c in fc.all_cones(D)]
+            assert cones == oracles.enumerate_cones(D), (C.name, D.describe())
+            cocones = [(c.apex, c.legs) for c in fc.all_cocones(D)]
+            assert cocones == oracles.enumerate_cones(_opposite_diagram(D)), (C.name, D.describe())
+            sizes[min(len(cones), 2)] += 1
+            sizes[min(len(cocones), 2)] += 1
+    assert sizes[0] > 0 and sizes[2] > 0, sizes
+
+
+def test_enumerate_functors_order_matches_recursive_oracle(cats):
+    # the same functors in the same order as the recursive search it
+    # replaced, in order and with the pools shuffled by equally seeded
+    # generators, so sampled enumerations draw the same sequence
+    targets = list(cats.values()) + [fc.finset_category(2)[0], fc.finset_category(3)[0], fc.EMPTY_SHAPE]
+    sizes = collections.Counter()
+    for source in list(cats.values()) + [fc.EMPTY_SHAPE]:
+        for target in targets:
+            for seed in (None, 0, 1, 2):
+                rng, oracle_rng = (None, None) if seed is None else (random.Random(seed), random.Random(seed))
+                got = [(F.object_map, F.morphism_map) for F in fc.enumerate_functors(source, target, rng=rng)]
+                assert got == list(oracles.enumerate_functors_recursive(source, target, oracle_rng)), (
+                    source.name, target.name, seed,
+                )
+                if rng is not None:
+                    assert rng.random() == oracle_rng.random()  # both drew the same number of times
+                sizes[min(len(got), 2)] += 1
+    assert sizes[0] > 0 and sizes[2] > 0, sizes
+
+
+# -- the search kernel ---------------------------------------------------------
+
+
+def _brute_force_search(domains, rules, decided):
+    """The tuples of ``itertools.product`` over the domains, in its order,
+    that meet every pre-decided pair and, for each of their pairs, the
+    forcing rule: ``None`` forbids the pair, a list names pairs that must hold."""
+    out = []
+    for t in itertools.product(*domains):
+        if all(t[v] == x for v, x in decided) and all(
+            rules.get((v, x), ()) is not None and all(t[w] == y for w, y in rules.get((v, x), ()))
+            for v, x in enumerate(t)
+        ):
+            out.append(t)
+    return out
+
+
+def _kernel_search(domains, rules, decided, limit=None):
+    order = range(len(domains))
+    found = fc.backtrack(order, domains.__getitem__, lambda v, x, _: rules.get((v, x), ()), decided)
+    return [tuple(a[v] for v in order) for a in itertools.islice(found, limit)]
+
+
+@st.composite
+def search_problems(draw):
+    n = draw(st.integers(min_value=0, max_value=4))
+    domains = [draw(st.lists(st.integers(min_value=0, max_value=2), unique=True, max_size=3)) for _ in range(n)]
+    pairs = [(v, x) for v in range(n) for x in domains[v]]
+    rules = {}
+    for pair in pairs:
+        kind = draw(st.sampled_from(("free", "force", "forbid")))
+        if kind == "forbid":
+            rules[pair] = None
+        elif kind == "force":
+            rules[pair] = draw(st.lists(st.sampled_from(pairs), max_size=2))
+    decided = draw(st.lists(st.sampled_from(pairs), max_size=2)) if pairs else []
+    return domains, rules, decided
+
+
+@settings(max_examples=300, deadline=None)
+@given(search_problems(), st.integers(min_value=0, max_value=3))
+# zero variables: one empty solution
+@example(([], {}, []), 0)
+# a forced chain 0=0 -> 1=1 -> 2=0, pruning the product to two solutions
+@example(([[0, 1], [0, 1], [0, 1]], {(0, 0): [(1, 1)], (1, 1): [(2, 0)]}, []), 1)
+# a clash: 0=0 forces 1 to both values
+@example(([[0, 1], [0, 1]], {(0, 0): [(1, 0), (1, 1)]}, []), 0)
+# a pre-decided variable that forces another, and clashing pre-decisions
+@example(([[0, 1], [0, 1], [0, 1]], {(1, 0): [(2, 1)]}, [(1, 0)]), 1)
+@example(([[0, 1], [0, 1]], {}, [(0, 0), (0, 1)]), 0)
+def test_backtrack_matches_filtered_product(problem, limit):
+    # the kernel lists exactly the consistent tuples of the product of the
+    # domains, in product order, and stops early when drawn no further
+    domains, rules, decided = problem
+    want = _brute_force_search(domains, rules, decided)
+    assert _kernel_search(domains, rules, decided) == want
+    assert _kernel_search(domains, rules, decided, limit) == want[:limit]
+
+
+def test_backtrack_examples_are_not_vacuous():
+    assert _kernel_search([], {}, []) == [()]
+    assert _kernel_search([[0, 1], [0, 1], [0, 1]], {(0, 0): [(1, 1)], (1, 1): [(2, 0)]}, []) == [
+        (0, 1, 0), (1, 0, 0), (1, 0, 1), (1, 1, 0),
+    ]
+    assert _kernel_search([[0, 1], [0, 1]], {(0, 0): [(1, 0), (1, 1)]}, []) == [(1, 0), (1, 1)]
+    assert _kernel_search([[0, 1], [0, 1], [0, 1]], {(1, 0): [(2, 1)]}, [(1, 0)]) == [(0, 0, 1), (1, 0, 1)]
+    assert _kernel_search([[0, 1], [0, 1]], {}, [(0, 0), (0, 1)]) == []
+    # variables decided by propagation may lie outside the order
+    found = fc.backtrack([0], lambda v: [0, 1], lambda v, x, _: [("aux", x)] if v == 0 else ())
+    assert [dict(a) for a in found] == [{0: 0, "aux": 0}, {0: 1, "aux": 1}]
 
 
 # -- categories built from arrow tables --------------------------------------

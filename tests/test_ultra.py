@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import collections
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -120,6 +123,37 @@ def test_universality_by_exhaustive_cocones(cats):
                 )
             ]
             assert len(mediators) == 1
+
+
+def test_cocones_match_filtered_product(cats):
+    # the cocone search lists exactly the compatible tuples of
+    # itertools.product over each member's stage maps, in product order:
+    # a stage map at S agrees with the one at every S2 below S through the
+    # projection of S's stage onto S2's
+    sizes = collections.Counter()
+    for C in cats.values():
+        family = tuple(k % C.n_objects for k in range(3))
+        for point in (0, 1, 2):
+            inst = ultra.UltraInstance(C, family, ultra.principal_ultrafilter((0, 1, 2), point))
+            members = inst.ultrafilter.members
+            stages = ultra._stage_presheaves(inst)
+            below = [(i, j) for i, S in enumerate(members) for j, S2 in enumerate(members) if S2 < S]
+            for N in range(C.n_objects):
+                choices = [ps.hom_set(stages[S].apex, ps.yoneda(C, N)) for S in members]
+
+                def compatible(combo):
+                    for i, j in below:
+                        keep = [sorted(members[i], key=repr).index(x) for x in sorted(members[j], key=repr)]
+                        for a, at in enumerate(combo[i].components):
+                            if any(combo[j].components[a][tuple(tup[k] for k in keep)] != y for tup, y in at.items()):
+                                return False
+                    return True
+
+                want = [[t.components for t in combo] for combo in itertools.product(*choices) if compatible(combo)]
+                got = ultra._cocones_into(inst, stages, N)
+                assert [[c[S].components for S in members] for c in got] == want, (C.name, point, N)
+                sizes[min(len(want), 2)] += 1
+    assert sizes[0] > 0 and sizes[2] > 0, sizes
 
 
 def test_categorical_ultraproduct_sizes(cats):

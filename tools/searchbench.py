@@ -1,0 +1,194 @@
+"""Time the engine's five backtracking searches in two source trees, side by side.
+
+    python tools/searchbench.py OLD_SRC NEW_SRC [--rounds 15]
+
+``OLD_SRC`` and ``NEW_SRC`` are ``src/`` directories, for instance one in a
+``git archive`` of the parent commit and this checkout's own.  Each tree's
+``catengine`` package is copied under its own name (``catengine_old``,
+``catengine_new``) into a temporary directory and both are imported into
+this one process, so the two sides share the interpreter, the machine's
+state and the time of day.  perfbench runs each side in its own processes,
+minutes apart, and on a machine whose speed swings by a third between runs
+it cannot resolve a 10-20 % change in one layer; this can.
+
+The five workloads are the searches that share ``fincat.backtrack``:
+
+- ``cones``: ``all_cones`` and ``all_cocones`` over the bound-2 diagram sweep
+  of every corpus category, the free categories on at most two nodes and
+  FinSet<=2;
+- ``find_iso``: ``find_iso`` between representables, their binary products
+  and relabelled copies of them, on every corpus category;
+- ``hom_set``: ``hom_set`` between the same presheaves where the
+  brute-force product has at most 10,000 points;
+- ``ultra_cocones``: ``ultra._cocones_into`` for principal ultrafilters on
+  three points over every corpus category;
+- ``functors``: ``enumerate_functors`` from every corpus category into
+  FinSet<=3, in order and shuffled by a seeded ``random.Random``.
+
+Inputs are built outside the timed region.  Each workload's outputs,
+reduced to plain tuples, must be equal on both sides, or the run stops;
+that first run also warms both sides and sets how often one timed sample
+repeats the workload, so that it takes about 0.1 s on the old side.  Rounds
+alternate which side runs first.  Prints the median seconds per run of each
+side and the ratio new / old per workload (below 1: the new tree is faster).
+"""
+from __future__ import annotations
+
+import argparse
+import importlib
+import itertools
+import math
+import random
+import shutil
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+SIDES = ("old", "new")
+SAMPLE_S = 0.1
+
+
+def load(src: str, side: str, into: Path):
+    """Import the ``catengine`` package of ``src`` as ``catengine_<side>``."""
+    name = f"catengine_{side}"
+    shutil.copytree(Path(src) / "catengine", into / name, ignore=shutil.ignore_patterns("__pycache__"))
+    return {mod: importlib.import_module(f"{name}.{mod}")
+            for mod in ("corpus", "fincat", "presheaf", "ultra", "virtlim")}
+
+
+def _presheaves(ps, C):
+    reps = [ps.yoneda(C, a) for a in range(C.n_objects)]
+    prods = [ps.product(C, [M, N]).apex for M, N in itertools.combinations_with_replacement(reps, 2)]
+    return reps + prods + [ps.relabel(P)[0] for P in reps + prods]
+
+
+def _components(t):
+    return tuple(tuple(sorted(c.items(), key=repr)) for c in t.components)
+
+
+# each workload: (setup(pkg) -> inputs, run(pkg, inputs) -> plain, comparable output)
+
+
+def cones_setup(pkg):
+    cats = list(pkg["corpus"].all_categories().values())
+    hosts = cats + pkg["virtlim"].dag_shapes(2) + [pkg["fincat"].finset_category(2)[0]]
+    return [D for C in hosts for D in pkg["virtlim"].swept_diagrams(C, 2)]
+
+
+def cones_run(pkg, diagrams):
+    fc = pkg["fincat"]
+    return [
+        tuple((c.apex, c.legs) for c in fc.all_cones(D)) + tuple((c.apex, c.legs) for c in fc.all_cocones(D))
+        for D in diagrams
+    ]
+
+
+def pairs_setup(pkg):
+    return [list(itertools.product(_presheaves(pkg["presheaf"], C), repeat=2))
+            for C in pkg["corpus"].all_categories().values()]
+
+
+def find_iso_run(pkg, pairs):
+    ps = pkg["presheaf"]
+    out = []
+    for per_cat in pairs:
+        for M, N in per_cat:
+            t = ps.find_iso(M, N)
+            out.append(t and _components(t))
+    return out
+
+
+def hom_set_setup(pkg):
+    return [
+        [(M, N) for M, N in per_cat
+         if math.prod(len(N.values[a]) ** len(M.values[a]) for a in range(M.base.n_objects)) <= 10 ** 4]
+        for per_cat in pairs_setup(pkg)
+    ]
+
+
+def hom_set_run(pkg, pairs):
+    ps = pkg["presheaf"]
+    return [tuple(_components(t) for t in ps.hom_set(M, N)) for per_cat in pairs for M, N in per_cat]
+
+
+def ultra_setup(pkg):
+    ultra = pkg["ultra"]
+    out = []
+    for C in pkg["corpus"].all_categories().values():
+        family = tuple(k % C.n_objects for k in range(3))
+        inst = ultra.UltraInstance(C, family, ultra.principal_ultrafilter((0, 1, 2), 1))
+        out.append((inst, ultra._stage_presheaves(inst)))
+    return out
+
+
+def ultra_run(pkg, insts):
+    ultra = pkg["ultra"]
+    return [
+        tuple(tuple((tuple(sorted(S)), _components(t)) for S, t in cocone.items())
+              for cocone in ultra._cocones_into(inst, stages, N))
+        for inst, stages in insts
+        for N in range(inst.host.n_objects)
+    ]
+
+
+def functors_setup(pkg):
+    return list(pkg["corpus"].all_categories().values()), pkg["fincat"].finset_category(3)[0]
+
+
+def functors_run(pkg, inputs):
+    cats, FS3 = inputs
+    fc = pkg["fincat"]
+    out = []
+    for C in cats:
+        for rng in (None, random.Random(1), random.Random(2)):
+            out.append(tuple((F.object_map, F.morphism_map) for F in fc.enumerate_functors(C, FS3, rng=rng)))
+    return out
+
+
+WORKLOADS = {
+    "cones": (cones_setup, cones_run),
+    "find_iso": (pairs_setup, find_iso_run),
+    "hom_set": (hom_set_setup, hom_set_run),
+    "ultra_cocones": (ultra_setup, ultra_run),
+    "functors": (functors_setup, functors_run),
+}
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    p.add_argument("old_src")
+    p.add_argument("new_src")
+    p.add_argument("--rounds", type=int, default=15)
+    args = p.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        sys.path.insert(0, tmp)
+        pkgs = {side: load(src, side, Path(tmp)) for side, src in zip(SIDES, (args.old_src, args.new_src))}
+        inputs = {(w, side): setup(pkgs[side]) for w, (setup, _) in WORKLOADS.items() for side in SIDES}
+        reps = {}
+        for w, (_, run) in WORKLOADS.items():
+            outputs = {side: run(pkgs[side], inputs[w, side]) for side in SIDES}  # also warms both sides
+            if outputs["old"] != outputs["new"]:
+                raise SystemExit(f"{w}: the two trees give different outputs")
+            t0 = time.perf_counter()
+            run(pkgs["old"], inputs[w, "old"])
+            reps[w] = max(1, round(SAMPLE_S / (time.perf_counter() - t0)))
+        times = {(w, side): [] for w in WORKLOADS for side in SIDES}
+        for r in range(args.rounds):
+            order = SIDES if r % 2 == 0 else SIDES[::-1]
+            for w, (_, run) in WORKLOADS.items():
+                for side in order:
+                    t0 = time.perf_counter()
+                    for _ in range(reps[w]):
+                        run(pkgs[side], inputs[w, side])
+                    times[w, side].append((time.perf_counter() - t0) / reps[w])
+    print(f"{'workload':<14} {'old_s':>9} {'new_s':>9} {'new/old':>8}   ({args.rounds} alternating rounds, medians)")
+    for w in WORKLOADS:
+        old, new = (statistics.median(times[w, side]) for side in SIDES)
+        print(f"{w:<14} {old:9.4f} {new:9.4f} {new / old:8.3f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
