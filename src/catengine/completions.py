@@ -953,9 +953,8 @@ def _free_action_cocones(cat: FiniteCategory) -> list[Cocone]:
 def is_phi_exact_set_functor(G: ps.SetFunctor, struct: CompletionStructure, flavor: str) -> bool:
     """Does ``G`` preserve the materialized limits and flavor colimits?"""
     cat = G.base
-    conc = fl.ConcreteFunctor.from_set_functor(G) if struct.limit_cones else None
     for cone in struct.limit_cones:
-        if not fl.preserves_limit(conc, cone):
+        if not fl.preserves_limit(G, cone):
             return False
     for cocone in struct.coproduct_cocones:
         if not fl.preserves_colimit(G, cocone):

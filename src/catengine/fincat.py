@@ -250,17 +250,26 @@ def validate_category(raw: dict, name: Optional[str] = None, infer_identities: b
 
 
 def opposite(cat: FiniteCategory) -> FiniteCategory:
-    """Reverse all morphisms.  An involution up to the stored name."""
-    n = cat.n_morphisms
-    table = [[-1] * n for _ in range(n)]
-    for g in range(n):
-        for f in range(n):
-            if cat.table[f][g] >= 0:
-                table[g][f] = cat.table[f][g]
-    name = cat.name[:-3] if cat.name.endswith("^op") else cat.name + "^op"
-    return FiniteCategory.build(
-        cat.objects, cat.morphisms, cat.tgt, cat.src, cat.identity, table, name
-    )
+    """Reverse all morphisms.
+
+    Built and validated once per category and kept in ``cat._cache``, with
+    ``cat`` kept as the opposite's own opposite, so that
+    ``opposite(opposite(cat)) is cat``.
+    """
+    op = cat._cache.get("opposite")
+    if op is None:
+        n = cat.n_morphisms
+        table = [[-1] * n for _ in range(n)]
+        for g in range(n):
+            for f in range(n):
+                if cat.table[f][g] >= 0:
+                    table[g][f] = cat.table[f][g]
+        name = cat.name[:-3] if cat.name.endswith("^op") else cat.name + "^op"
+        op = cat._cache["opposite"] = FiniteCategory.build(
+            cat.objects, cat.morphisms, cat.tgt, cat.src, cat.identity, table, name
+        )
+        op._cache["opposite"] = cat
+    return op
 
 
 def category_from_arrows(objects, arrows, identities, compose, morphisms, name) -> tuple[FiniteCategory, dict]:
@@ -536,14 +545,19 @@ COSPAN_SHAPE = FiniteCategory.build(
 )
 
 
+# The bodies of the four standard diagrams are functors by construction: the
+# shapes' only composites are with identities, which go to identities of
+# ``cat``.  They are built unchecked; the endpoint checks below stay.
+
+
 def empty_diagram(cat: FiniteCategory) -> Diagram:
-    return Diagram(EMPTY_SHAPE, FunctorData(EMPTY_SHAPE, cat, (), ()))
+    return Diagram(EMPTY_SHAPE, FunctorData(EMPTY_SHAPE, cat, (), (), check=False))
 
 
 def pair_diagram(cat: FiniteCategory, a: int, b: int) -> Diagram:
     return Diagram(
         PAIR_SHAPE,
-        FunctorData(PAIR_SHAPE, cat, (a, b), (cat.identity[a], cat.identity[b])),
+        FunctorData(PAIR_SHAPE, cat, (a, b), (cat.identity[a], cat.identity[b]), check=False),
     )
 
 
@@ -553,7 +567,7 @@ def parallel_pair_diagram(cat: FiniteCategory, u: int, v: int) -> Diagram:
     a, b = cat.src[u], cat.tgt[u]
     return Diagram(
         PARALLEL_SHAPE,
-        FunctorData(PARALLEL_SHAPE, cat, (a, b), (cat.identity[a], cat.identity[b], u, v)),
+        FunctorData(PARALLEL_SHAPE, cat, (a, b), (cat.identity[a], cat.identity[b], u, v), check=False),
     )
 
 
@@ -566,6 +580,7 @@ def cospan_diagram(cat: FiniteCategory, l: int, r: int) -> Diagram:
             COSPAN_SHAPE, cat,
             (cat.src[l], cat.tgt[l], cat.src[r]),
             (cat.identity[cat.src[l]], cat.identity[cat.tgt[l]], cat.identity[cat.src[r]], l, r),
+            check=False,
         ),
     )
 

@@ -25,6 +25,10 @@ coproduct of a family's images in ``canonical_from_family`` keyed by the
 family's object indices.  The memo is set on first use and dies with the
 functor; the comparison maps built from it are rebuilt and tested on every
 call.
+
+Preservation of a named (co)limit by a set-valued functor
+(``preserves_limit``, ``preserves_colimit``, and with them the lex route)
+is decided on the finite sets themselves: no conversion, no memo.
 """
 from __future__ import annotations
 
@@ -135,10 +139,10 @@ def composite_limit(F: ConcreteFunctor, diagram: Diagram) -> ps.PresheafCone:
     """The pointwise limit of ``F`` composed with a diagram in its source.
 
     Built once per functor and (equal) diagram and kept in ``F``'s memo, so
-    every route and every ``preserves_limit`` call on ``F`` reads the same
-    cone.  The composite is not re-validated: ``F`` and the diagram's body
-    are both validated (or, for ``from_set_functor``, images of a validated
-    functor), and a composite of functors is a functor.
+    every flatness route on ``F`` reads the same cone.  The composite is not
+    re-validated: ``F`` and the diagram's body are both validated (or, for
+    ``from_set_functor``, images of a validated functor), and a composite of
+    functors is a functor.
     """
     memo = _memo(F)
     lim = memo.get(diagram)
@@ -374,11 +378,22 @@ def merges_multi_finite(F, diagrams=None, bound: int = 0) -> FlatVerdict:
 # -- lexness of set-valued functors (for lex domains) --------------------------
 
 
-def preserves_limit(F: ConcreteFunctor, cone: Cone) -> bool:
-    """Does ``F`` send the given limiting cone to a limit in finite sets?"""
-    lim = composite_limit(F, cone.diagram)
-    comp = comparison_from_cone(F, cone, lim)
-    return comp.is_pointwise_bijective()
+def preserves_limit(F: ps.SetFunctor, cone: Cone) -> bool:
+    """Does ``F`` send the given limiting cone to a limit in finite sets?
+
+    The limit of the image diagram is computed from scratch and the
+    canonical map from ``F(apex)`` checked bijective, as ``preserves_colimit``
+    does for colimits.
+    """
+    D = cone.diagram
+    S = D.shape
+    lim = ps.limit_of_sets(
+        S,
+        [F.values[D.vertex(d)] for d in range(S.n_objects)],
+        [F.actions[D.body.morphism_map[s]] for s in range(S.n_morphisms)],
+    )
+    images = [tuple(F.actions[leg][u] for leg in cone.legs) for u in F.values[cone.apex]]
+    return len(set(images)) == len(images) and set(images) == set(lim)
 
 
 def preserves_colimit(F: ps.SetFunctor, cocone) -> bool:
@@ -412,12 +427,11 @@ def is_lex_set_valued(F: ps.SetFunctor, diagrams=None, bound: int = 0) -> FlatVe
     from .fincat import limit_in_category
 
     C = F.base
-    conc = _as_concrete(F)
     for diagram in _sweep(C, diagrams, bound):
         cone = limit_in_category(diagram)
         if cone is None:
             raise NoWeakLimit(diagram.describe())
-        if not preserves_limit(conc, cone):
+        if not preserves_limit(F, cone):
             return FlatVerdict(
                 False, FailingWeight(diagram.describe(), "limit not preserved"), "lex"
             )

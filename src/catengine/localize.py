@@ -342,9 +342,8 @@ class Sketch:
 
 
 def is_sketch_model(sk: Sketch, F: ps.SetFunctor) -> bool:
-    conc = fl.ConcreteFunctor.from_set_functor(F) if sk.limit_specs else None
     for cone in sk.limit_specs:
-        if not fl.preserves_limit(conc, cone):
+        if not fl.preserves_limit(F, cone):
             return False
     for cocone in sk.coproduct_specs:
         if not fl.preserves_colimit(F, cocone):

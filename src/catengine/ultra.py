@@ -31,15 +31,21 @@ from .fincat import (
 from . import presheaf as ps
 
 
+def _sorted_members(members) -> tuple[frozenset, ...]:
+    return tuple(sorted((frozenset(S) for S in members), key=lambda S: (len(S), sorted(map(repr, S)))))
+
+
 @dataclass(frozen=True)
 class Ultrafilter:
+    """A finite ultrafilter.  ``members`` are kept sorted by size, then by
+    their elements' reprs, however they are given, so no member contains a
+    later one."""
     ground: tuple
     members: tuple[frozenset, ...]
     principal_point: object
 
-
-def _sorted_members(members) -> tuple[frozenset, ...]:
-    return tuple(sorted((frozenset(S) for S in members), key=lambda S: (len(S), sorted(map(repr, S)))))
+    def __post_init__(self):
+        object.__setattr__(self, "members", _sorted_members(self.members))
 
 
 def validate_ultrafilter(ground: Sequence, members: Sequence) -> Ultrafilter:
@@ -82,7 +88,7 @@ def validate_ultrafilter(ground: Sequence, members: Sequence) -> Ultrafilter:
         core &= S
     if len(core) != 1:
         raise ValidationError("internal: a finite ultrafilter must concentrate on one point")
-    return Ultrafilter(X, _sorted_members(mem), next(iter(core)))
+    return Ultrafilter(X, tuple(mem), next(iter(core)))
 
 
 def principal_ultrafilter(ground: Sequence, point) -> Ultrafilter:
@@ -202,7 +208,8 @@ def _restriction_components(inst, stages, S: frozenset, S2: frozenset):
 
 def _cocones_into(inst, stages, N: int) -> list[dict]:
     """All compatible families of stage maps into the representable at ``N``:
-    one variable per member, each choice checked against those before it."""
+    one variable per member, each choice checked against the earlier members
+    it contains (members are sorted by size, so none contains a later one)."""
     host = inst.host
     members = inst.ultrafilter.members
     YN = ps.yoneda(host, N)
@@ -220,8 +227,6 @@ def _cocones_into(inst, stages, N: int) -> list[dict]:
             S2 = members[i]
             if S2 <= S and ps.compose_nats(chosen[i], res[(S, S2)]).components != cand.components:
                 return None
-            if S <= S2 and ps.compose_nats(cand, res[(S2, S)]).components != chosen[i].components:
-                return None
         return ()
 
     return [
@@ -234,8 +239,18 @@ def universal_ultraproduct(inst: UltraInstance) -> Optional[UltraCocone]:
     """Search the host for the cocone universal among representable cocones.
 
     Universality is confirmed against every competing cocone: each must
-    factor through the candidate by a unique host morphism.
+    factor through the candidate by a unique host morphism.  The answer
+    depends only on the host, the family and the ultrafilter, so it is
+    kept in ``host._cache``; callers must not mutate it.
     """
+    host = inst.host
+    key = ("ultraproduct", inst.family, inst.ultrafilter)
+    if key not in host._cache:
+        host._cache[key] = _search_ultraproduct(inst)
+    return host._cache[key]
+
+
+def _search_ultraproduct(inst: UltraInstance) -> Optional[UltraCocone]:
     host = inst.host
     stages = _stage_presheaves(inst)
     members = inst.ultrafilter.members
@@ -373,7 +388,9 @@ def closure_check(host: FiniteCategory, m_objects: Sequence[int], inst: UltraIns
             break
     if in_m is None:
         return ClosureReport(True, False, None, False, False)
-    sub = full_subcategory(host, m_objects)
+    # the full subcategory on every object, in order, has the host's tables
+    # and so the host's ultraproduct, which is already kept on the host
+    sub = host if m_objects == list(range(host.n_objects)) else full_subcategory(host, m_objects)
     sub_inst = UltraInstance(sub, tuple(m_objects.index(o) for o in inst.family), inst.ultrafilter)
     small = universal_ultraproduct(sub_inst)
     agrees = small is not None and m_objects[small.obj] == in_m or (

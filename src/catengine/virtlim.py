@@ -75,7 +75,16 @@ _VL_CACHE: dict[Diagram, VirtualLimit] = {}
 
 
 def virtual_limit(cat: FiniteCategory, diagram: Diagram) -> VirtualLimit:
-    """Compute the cone presheaf of ``diagram`` pointwise over representables.
+    """Compute the cone presheaf of ``diagram``: the limit of the
+    representables ``Y(D d)``, read off the composition table.
+
+    Its value at ``c`` is the limit of the hom-sets ``C(c, D d)`` along
+    postcomposition (``presheaf.limit_of_sets``: the tuples of legs that
+    commute with every non-identity edge, in ``itertools.product`` order),
+    and a morphism acts by precomposition -- the values, actions and order
+    of ``presheaf.limit`` over the diagram of representables.  Each
+    representable is still built through ``presheaf.yoneda``, so a hom-set
+    over the fiber cap raises there.
 
     Results are memoized: the weight does not depend on any functor under
     test, and sweeps revisit the same diagrams constantly.
@@ -85,11 +94,18 @@ def virtual_limit(cat: FiniteCategory, diagram: Diagram) -> VirtualLimit:
     out = _VL_CACHE.get(diagram)
     if out is not None:
         return out
-    S = diagram.shape
-    vertices = tuple(ps.yoneda(cat, diagram.vertex(d)) for d in range(S.n_objects))
-    edges = tuple(ps.yoneda_map(cat, diagram.body.morphism_map[s]) for s in range(S.n_morphisms))
-    cone = ps.limit(ps.PresheafDiagram(S, vertices, edges), base=cat, name=f"lim Y{diagram.describe()}")
-    weight = cone.apex
+    S, table = diagram.shape, cat.table
+    vertices = [ps.yoneda(cat, diagram.vertex(d)).values for d in range(S.n_objects)]
+    # postcomposition with D(s) is its row of the table
+    edges = [table[m] for m in diagram.body.morphism_map]
+    values = tuple(
+        tuple(ps.limit_of_sets(S, [v[c] for v in vertices], edges)) for c in range(cat.n_objects)
+    )
+    actions = tuple(
+        {tup: tuple(table[leg][f] for leg in tup) for tup in values[cat.tgt[f]]}
+        for f in range(cat.n_morphisms)
+    )
+    weight = ps.Presheaf(cat, values, actions, name=f"lim Y{diagram.describe()}", check=False)
     index = {
         (c, w): Cone(diagram, c, tuple(w))
         for c in range(cat.n_objects)

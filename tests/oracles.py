@@ -3,7 +3,9 @@
 Nothing here calls the engine's weight machinery, union-find quotients,
 detector shortcuts or search kernel: cones are enumerated directly from the
 composition table and the definitional factorization conditions are checked
-verbatim.
+verbatim.  The exceptions are the reference constructions at the end, which
+build through the engine's checked presheaf limits and concrete functors the
+answers that faster routes must reproduce byte for byte.
 """
 from __future__ import annotations
 
@@ -344,3 +346,30 @@ def nat_transformations_in_order(M, N):
         ):
             out.append(comps)
     return out
+
+
+# -- reference constructions ---------------------------------------------------
+
+
+def virtual_limit_by_presheaf_limit(cat, diagram):
+    """The weight of ``virtlim.virtual_limit(cat, diagram)`` built as the
+    pointwise limit of a checked diagram of representables and checked
+    postcomposition maps: values, actions, their order and the name, and
+    the same ``FiberCapExceeded`` where a fiber is too large."""
+    from catengine import presheaf as ps
+
+    S = diagram.shape
+    vertices = tuple(ps.yoneda(cat, diagram.vertex(d)) for d in range(S.n_objects))
+    edges = tuple(ps.yoneda_map(cat, diagram.body.morphism_map[s]) for s in range(S.n_morphisms))
+    return ps.limit(ps.PresheafDiagram(S, vertices, edges), base=cat, name=f"lim Y{diagram.describe()}").apex
+
+
+def preserves_limit_concrete(F, cone):
+    """``flatness.preserves_limit`` through a fresh ``ConcreteFunctor``: the
+    comparison from ``F(apex)`` into the pointwise limit of the composite
+    must be bijective."""
+    from catengine import flatness as fl
+
+    conc = fl.ConcreteFunctor.from_set_functor(F)
+    lim = fl.composite_limit(conc, cone.diagram)
+    return fl.comparison_from_cone(conc, cone, lim).is_pointwise_bijective()

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import collections
+import dataclasses
+import gc
 import hashlib
 import itertools
 import json
 import random
+import weakref
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -120,6 +123,21 @@ def test_opposite_one_self_dual(cats):
     assert fc.opposite(cats["ONE"]) == cats["ONE"]
 
 
+def test_opposite_built_once_per_category(cats, monkeypatch):
+    C = fc.validate_category(fc.category_to_json(cats["SPLIT"]))
+    checked = []
+    check = fc.FiniteCategory.check
+    monkeypatch.setattr(fc.FiniteCategory, "check", lambda cat: checked.append(cat.name) or check(cat))
+    op = fc.opposite(C)
+    assert checked == ["SPLIT^op"]  # the first build is validated in full
+    assert fc.opposite(C) is op and fc.opposite(op) is C and checked == ["SPLIT^op"]
+    assert hom_functor(C, 0).as_presheaf().base is op
+    refs = [weakref.ref(C), weakref.ref(op)]
+    del C, op
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+
+
 def test_elements_category_of_hom_on_par(cats):
     PAR = cats["PAR"]
     El = fc.elements_category(hom_functor(PAR, 0))
@@ -155,6 +173,29 @@ def test_representable_elements_cofiltered_everywhere(cats):
 def test_corpus_cauchy_complete(cats):
     for C in cats.values():
         assert fc.is_cauchy_complete(C)
+
+
+def _check_trusted_bodies(C: fc.FiniteCategory) -> int:
+    """Rebuild with every check the body of each bound-1 sweep diagram and
+    of each cospan of ``C``, all built unchecked; returns how many."""
+    diagrams = vl.swept_diagrams(C, 1) + [
+        fc.cospan_diagram(C, l, r)
+        for l in range(C.n_morphisms) for r in range(C.n_morphisms) if C.tgt[l] == C.tgt[r]
+    ]
+    for D in diagrams:
+        assert not D.body.check
+        dataclasses.replace(D.body, check=True)
+    return len(diagrams)
+
+
+def test_trusted_diagram_bodies_revalidate_on_corpus(cats):
+    assert sum(_check_trusted_bodies(C) for C in cats.values()) == 88
+    # the endpoint checks stay
+    PAR, ARROW = cats["PAR"], cats["ARROW"]
+    with pytest.raises(ValidationError, match="parallel pair"):
+        fc.parallel_pair_diagram(PAR, 2, PAR.identity[0])
+    with pytest.raises(ValidationError, match="cospan"):
+        fc.cospan_diagram(ARROW, 0, 1)
 
 
 def test_limit_search(cats):
@@ -194,6 +235,12 @@ def dag_categories(draw):
 def test_random_free_categories_validate_and_dualize(C):
     C.check()
     assert fc.opposite(fc.opposite(C)) == C
+
+
+@settings(max_examples=25, deadline=None)
+@given(dag_categories())
+def test_trusted_diagram_bodies_revalidate_on_random_dags(C):
+    _check_trusted_bodies(C)
 
 
 @settings(max_examples=15, deadline=None)

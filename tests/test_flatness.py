@@ -259,8 +259,8 @@ def test_trusted_images_revalidate(cats, monkeypatch, trusted_built):
     for name, C in cats.items():
         census_digest(C, census_value_bound(name))
     # the census enumerates 193 set functors and runs every route on each;
-    # every route, the lex route's 230 calls included, reads the one
-    # conversion kept on the functor
+    # every route reads the one conversion kept on the functor, except the
+    # lex route (230 calls), which decides on the finite sets themselves
     assert len(functors) == 193 and sum(converted.values()) == 193 and sum(lex_calls.values()) == 230
     assert all(converted[f] == 1 for f in functors)
     assert composites[0] > 1000, composites
@@ -276,6 +276,21 @@ def test_trusted_images_revalidate(cats, monkeypatch, trusted_built):
         ("NatTransformation", "comparison_from_cone"): 100, ("NatTransformation", "canonical_from_family"): 1000,
     }
     assert all(trusted_built[kind] >= n for kind, n in floors.items()), trusted_built
+
+
+def test_preserves_limit_on_sets_matches_concrete_comparison(cats):
+    # every census functor against every limit cone the domain has over its
+    # bound-1 sweep, with both verdicts seen
+    verdicts = collections.Counter()
+    for name, C in cats.items():
+        cones = [c for c in map(fc.limit_in_category, vl.swept_diagrams(C, 1)) if c is not None]
+        for F in ps.enumerate_set_functors(C, census_value_bound(name)):
+            for cone in cones:
+                got = fl.preserves_limit(F, cone)
+                assert got == oracles.preserves_limit_concrete(F, cone), (name, F.values, cone)
+                verdicts[got] += 1
+            assert F._concrete is None  # the set route converts nothing
+    assert verdicts[True] > 500 and verdicts[False] > 500, verdicts
 
 
 # -- the memo of composite limits and family coproducts ---------------------------

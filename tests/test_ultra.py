@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import collections
+import gc
 import itertools
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -206,3 +208,62 @@ def test_closure_check_whole_category_vacuous(cats):
     inst = ultra.UltraInstance(Z2, (0, 0), ultra.principal_ultrafilter((0, 1), 0))
     rep = ultra.closure_check(Z2, [0], inst)
     assert rep.passed
+
+
+def test_ultrafilter_members_sorted_on_construction():
+    U = ultra.principal_ultrafilter(("x0", "x1", "x2"), "x1")
+    assert U.members == ultra._sorted_members(U.members)
+    assert [len(S) for S in U.members] == [1, 2, 2, 3]
+    # built directly, in any order, the members come out the same
+    shuffled = ultra.Ultrafilter(U.ground, tuple(reversed(U.members)), U.principal_point)
+    assert shuffled.members == U.members and shuffled == U
+    # so no member contains a later one, which the cocone search relies on
+    assert not any(T < S for i, S in enumerate(U.members) for T in U.members[i + 1:])
+
+
+def _counting_stages(monkeypatch) -> list:
+    built = []
+    stage_presheaves = ultra._stage_presheaves
+    monkeypatch.setattr(ultra, "_stage_presheaves", lambda inst: built.append(inst) or stage_presheaves(inst))
+    return built
+
+
+def test_ultraproduct_computed_once_per_instance(cats, monkeypatch):
+    built = _counting_stages(monkeypatch)
+    # a fresh copy, whose cache no earlier test has filled
+    H = fc.validate_category(fc.category_to_json(cats["SPLIT"]))
+    inst = ultra.UltraInstance(H, (0, 1, 2), ultra.principal_ultrafilter((0, 1, 2), 1))
+    uu = ultra.universal_ultraproduct(inst)
+    assert len(built) == 1 and uu.obj == 1
+    # an equal instance, and the closure check over every object in order,
+    # whose full subcategory is the host itself, build no second stage
+    again = ultra.UltraInstance(H, (0, 1, 2), ultra.principal_ultrafilter((0, 1, 2), 1))
+    assert ultra.universal_ultraproduct(again) is uu
+    rep = ultra.closure_check(H, list(range(H.n_objects)), inst)
+    assert rep.passed and rep.subcategory_object == 1 and len(built) == 1
+    # another family or ultrafilter is another instance
+    ultra.universal_ultraproduct(ultra.UltraInstance(H, (0, 1, 2), ultra.principal_ultrafilter((0, 1, 2), 0)))
+    assert len(built) == 2
+
+
+def test_proper_subcategory_computes_its_own_ultraproduct(cats, monkeypatch):
+    built = _counting_stages(monkeypatch)
+    PAR = cats["PAR"]
+    E = cp.direct_pretopos(PAR, cp.Bounds(max_arity=2))
+    cat = E.as_category()
+    reps = [E.find_object(ps.yoneda(PAR, a)) for a in range(2)]
+    inst = ultra.UltraInstance(cat, tuple(reps), ultra.principal_ultrafilter((0, 1), 0))
+    ultra.universal_ultraproduct(inst)
+    rep = ultra.closure_check(cat, reps, inst)
+    assert rep.passed and rep.subcategory_object == reps[0]
+    assert [b.host is cat for b in built] == [True, False]
+    assert built[1].host.n_objects == len(reps)
+
+
+def test_ultraproduct_memo_dies_with_its_host(cats):
+    H = fc.validate_category(fc.category_to_json(cats["Z2"]))
+    uu = ultra.universal_ultraproduct(ultra.UltraInstance(H, (0, 0), ultra.principal_ultrafilter((0, 1), 0)))
+    refs = [weakref.ref(H), weakref.ref(uu)]
+    del H, uu
+    gc.collect()
+    assert all(ref() is None for ref in refs)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import collections
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from catengine import completions as cp
 from catengine import fincat as fc
 from catengine import presheaf as ps
 from catengine import virtlim as vl
+from catengine.errors import FiberCapExceeded
 from test_fincat import dag_categories
 import oracles
 
@@ -309,3 +311,77 @@ def test_fc_limit_matches_subset_search_on_completions(cats):
         C = E.as_category()
         _check_fc_limits(C, vl.generating_diagrams(C), seen)
     assert seen["several classes"] > 0, seen
+
+
+# -- virtual limits from the composition table ---------------------------------
+
+
+def _weight_or_cap(build):
+    """A weight's name, values and actions in dict order, or the message of
+    the ``FiberCapExceeded`` that building it raised."""
+    try:
+        W = build()
+    except FiberCapExceeded as exc:
+        return str(exc)
+    return W.name, W.values, [list(act.items()) for act in W.actions]
+
+
+def _check_weights(C, diagrams, seen, monkeypatch):
+    """``virtual_limit`` computed afresh reproduces the presheaf-limit
+    construction on every diagram, the cone index included."""
+    monkeypatch.setattr(vl, "_VL_CACHE", {})
+    for diagram in diagrams:
+        got = _weight_or_cap(lambda: vl.virtual_limit(C, diagram).weight)
+        assert got == _weight_or_cap(lambda: oracles.virtual_limit_by_presheaf_limit(C, diagram)), (
+            C.name, diagram.describe())
+        if isinstance(got, str):
+            seen["cap"] += 1
+            continue
+        seen["weights"] += 1
+        seen["elements"] += sum(map(len, got[1]))
+        v = vl.virtual_limit(C, diagram)
+        assert list(v.cone_index) == v.elements()
+
+
+def test_virtual_limit_matches_presheaf_limit_on_corpus(cats, monkeypatch):
+    seen = collections.Counter()
+    for C in cats.values():
+        _check_weights(C, vl.swept_diagrams(C, 1), seen, monkeypatch)
+    assert seen["weights"] > 40 and seen["elements"] > 60, seen
+
+
+def test_virtual_limit_matches_presheaf_limit_on_random_dags(monkeypatch):
+    seen = collections.Counter()
+
+    @settings(max_examples=25, deadline=None)
+    @given(dag_categories())
+    def check(C):
+        _check_weights(C, vl.swept_diagrams(C, 1), seen, monkeypatch)
+
+    check()
+    assert seen["weights"] > 100, seen
+
+
+def test_virtual_limit_matches_presheaf_limit_on_completions(cats, monkeypatch):
+    # two of the pretopos hosts have a weight over the fiber cap, which must
+    # raise with the same message
+    seen = collections.Counter()
+    builds = [cp.fam_f(cats["ONE"], 2), cp.direct_pretopos(cats["ARROW"])] + [
+        cp.direct_pretopos(cats[name], cp.Bounds(max_arity=2)) for name in ("PAR", "Z2", "SPLIT")
+    ]
+    for E in builds:
+        C = E.as_category()
+        _check_weights(C, vl.generating_diagrams(C), seen, monkeypatch)
+    assert seen["weights"] > 200 and seen["cap"] == 2, seen
+
+
+def test_virtual_limit_over_the_fiber_cap_raises_as_before(cats, monkeypatch):
+    monkeypatch.setattr(vl, "_VL_CACHE", {})
+    C = cp.fam_f(cats["Z2"], 2).as_category()
+    diagram = fc.pair_diagram(C, 2, 2)
+    message = "value set of size 256 exceeds cap 64 in presheaf lim Y[M2,M2]"
+    with pytest.raises(FiberCapExceeded, match=re.escape(message)):
+        vl.virtual_limit(C, diagram)
+    with pytest.raises(FiberCapExceeded, match=re.escape(message)):
+        oracles.virtual_limit_by_presheaf_limit(C, diagram)
+    assert diagram not in vl._VL_CACHE

@@ -1,4 +1,5 @@
-"""Time the engine's five backtracking searches in two source trees, side by side.
+"""Time the engine's backtracking searches and two cold-host layers in two
+source trees, side by side.
 
     python tools/searchbench.py OLD_SRC NEW_SRC [--rounds 15]
 
@@ -11,7 +12,7 @@ state and the time of day.  perfbench runs each side in its own processes,
 minutes apart, and on a machine whose speed swings by a third between runs
 it cannot resolve a 10-20 % change in one layer; this can.
 
-The five workloads are the searches that share ``fincat.backtrack``:
+Five workloads are the searches that share ``fincat.backtrack``:
 
 - ``cones``: ``all_cones`` and ``all_cocones`` over the bound-2 diagram sweep
   of every corpus category, the free categories on at most two nodes and
@@ -24,6 +25,19 @@ The five workloads are the searches that share ``fincat.backtrack``:
   three points over every corpus category;
 - ``functors``: ``enumerate_functors`` from every corpus category into
   FinSet<=3, in order and shuffled by a seeded ``random.Random``.
+
+Two more time what a freshly named host costs the first time it is asked
+about its limits, as every perfbench universal-search job is:
+
+- ``virtual_limits``: ``virtual_limit`` over the bound-1 sweep of renamed
+  copies of the corpus categories, the free categories on at most two nodes
+  and five completion hosts, with the host's cache and the virtual-limit
+  cache emptied before each run (a weight over the fiber cap counts by its
+  message);
+- ``sketch_models``: ``localize.is_sketch_model`` for every functor from a
+  corpus category into FinSet<=2 against the limit cones of the category's
+  generating diagrams on at most two objects, so ``preserves_limit`` runs
+  once per functor and cone.
 
 Inputs are built outside the timed region.  Each workload's outputs,
 reduced to plain tuples, must be equal on both sides, or the run stops;
@@ -55,7 +69,7 @@ def load(src: str, side: str, into: Path):
     name = f"catengine_{side}"
     shutil.copytree(Path(src) / "catengine", into / name, ignore=shutil.ignore_patterns("__pycache__"))
     return {mod: importlib.import_module(f"{name}.{mod}")
-            for mod in ("corpus", "fincat", "presheaf", "ultra", "virtlim")}
+            for mod in ("completions", "corpus", "errors", "fincat", "localize", "presheaf", "ultra", "virtlim")}
 
 
 def _presheaves(ps, C):
@@ -147,12 +161,65 @@ def functors_run(pkg, inputs):
     return out
 
 
+def _renamed(fc, C):
+    """A copy of ``C`` with every object and morphism name prefixed by ``fresh.``."""
+    raw = fc.category_to_json(C)
+    return fc.validate_category({
+        "name": raw["name"],
+        "objects": ["fresh." + o for o in raw["objects"]],
+        "morphisms": [{k: "fresh." + v for k, v in r.items()} for r in raw["morphisms"]],
+        "identities": {"fresh." + o: "fresh." + m for o, m in raw["identities"].items()},
+        "compose": [{k: "fresh." + v for k, v in r.items()} for r in raw["compose"]],
+    })
+
+
+def virtual_limits_setup(pkg):
+    cp, fc, vl = pkg["completions"], pkg["fincat"], pkg["virtlim"]
+    cats = pkg["corpus"].all_categories()
+    completions = [cp.fam_f(cats["ONE"], 2), cp.direct_pretopos(cats["ARROW"]), cp.direct_pretopos(cats["ONE"]),
+                   cp.direct_regular(cats["CHAIN3"]), cp.fam_f(cats["Z2"], 2)]
+    hosts = [_renamed(fc, C) for C in list(cats.values()) + vl.dag_shapes(2) + [E.as_category() for E in completions]]
+    return [(H, vl.swept_diagrams(H, 1)) for H in hosts]
+
+
+def virtual_limits_run(pkg, inputs):
+    vl, cap = pkg["virtlim"], pkg["errors"].FiberCapExceeded
+    vl._VL_CACHE.clear()
+    out = []
+    for H, diagrams in inputs:
+        H._cache.clear()  # no representables, hom-sets or opposite yet
+        for D in diagrams:
+            try:
+                W = vl.virtual_limit(H, D).weight
+                out.append((W.name, W.values, W.actions))
+            except cap as exc:
+                out.append(str(exc))
+    return out
+
+
+def sketch_setup(pkg):
+    fc, lz, ps, vl = pkg["fincat"], pkg["localize"], pkg["presheaf"], pkg["virtlim"]
+    out = []
+    for C in pkg["corpus"].all_categories().values():
+        cones = map(fc.limit_in_category, vl.generating_diagrams(C))
+        specs = tuple(c for c in cones if c is not None and c.diagram.shape.n_objects <= 2)
+        out.append((lz.Sketch(C, specs), list(ps.enumerate_set_functors(C, 2))))
+    return out
+
+
+def sketch_run(pkg, inputs):
+    lz = pkg["localize"]
+    return [tuple(lz.is_sketch_model(sk, F) for F in functors) for sk, functors in inputs]
+
+
 WORKLOADS = {
     "cones": (cones_setup, cones_run),
     "find_iso": (pairs_setup, find_iso_run),
     "hom_set": (hom_set_setup, hom_set_run),
     "ultra_cocones": (ultra_setup, ultra_run),
     "functors": (functors_setup, functors_run),
+    "virtual_limits": (virtual_limits_setup, virtual_limits_run),
+    "sketch_models": (sketch_setup, sketch_run),
 }
 
 
