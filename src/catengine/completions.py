@@ -2,7 +2,7 @@
 
 ``close`` saturates the representables under finite limits and a chosen
 family of colimit generators (none, kernel-pair quotients, quotients of
-equivalence relations, finite coproducts, both, or free-action colimits).
+equivalence relations, finite coproducts, or both).
 ``direct_regular``, ``direct_pretopos`` and ``fam_f`` build the regular,
 pretopos and finite-coproduct completions from their explicit object
 presentations instead, so the two routes can be cross-checked.
@@ -23,7 +23,6 @@ from .errors import FiberCapExceeded, NotWeaklyLex, ValidationError
 from .fincat import (
     Cocone,
     Cone,
-    Diagram,
     FiniteCategory,
     FunctorData,
     all_cocones,
@@ -40,7 +39,7 @@ from . import flatness as fl
 from . import presheaf as ps
 from . import virtlim as vl
 
-FLAVORS = ("none", "reg", "ex", "lext", "pret", "poly", "fam_f")
+FLAVORS = ("none", "reg", "ex", "lext", "pret", "fam_f")
 
 
 @dataclass(frozen=True)
@@ -73,7 +72,7 @@ class Bounds:
 
 @dataclass(frozen=True)
 class Provenance:
-    kind: str  # representable | limit | image | coproduct | quotient | free-quotient | family
+    kind: str  # representable | limit | image | coproduct | quotient | family
     detail: str
 
     def to_json(self) -> dict:
@@ -351,10 +350,8 @@ class _Builder:
             self._image_step()
         if flavor in ("ex", "pret"):
             self._equivalence_quotient_step()
-        if flavor in ("lext", "pret", "poly"):
+        if flavor in ("lext", "pret"):
             self._coproduct_step()
-        if flavor == "poly":
-            self._free_quotient_step()
         return len(self.objects) > before
 
     def _image_step(self):
@@ -401,27 +398,6 @@ class _Builder:
                 Provenance("coproduct", f"M{i} + M{j}"),
             )
 
-    def _free_quotient_step(self):
-        C = self.base
-        snapshot = list(enumerate(self.objects))
-        for (i, M) in snapshot:
-            if self.full():
-                break
-            auts = [t for t in self.bounded_homs(M, M, f"actions on M{i}") if t.is_pointwise_bijective()]
-            for group in _subgroups(M, auts):
-                if len(group) < 2 or not _acts_freely(M, group):
-                    continue
-                pairs = [
-                    (a, x, g.components[a][x])
-                    for g in group
-                    for a in range(C.n_objects)
-                    for x in M.values[a]
-                ]
-                self.guarded(
-                    lambda M=M, pairs=pairs: ps.quotient_presheaf(M, pairs)[0],
-                    Provenance("free-quotient", f"M{i} by a free action of order {len(group)}"),
-                )
-
     def finish(self, saturated: bool) -> ConcreteCompletion:
         # a builder that filled up may have stopped scanning early, so it
         # cannot honestly claim to have verified a fixpoint
@@ -454,35 +430,6 @@ def _is_internal_equivalence(R: ps.Presheaf, M: ps.Presheaf, r1, r2) -> bool:
             (x, z) in rel for (x, y) in rel for (y2, z) in rel if y == y2
         ):
             return False
-    return True
-
-
-def _subgroups(M: ps.Presheaf, auts: list[ps.NatTransformation]):
-    """All subgroups of the automorphism group, as lists of transformations."""
-    keys = {t.key(): t for t in auts}
-    ids = sorted(keys)
-    comp = {
-        (k1, k2): ps.compose_nats(keys[k1], keys[k2]).key() for k1 in ids for k2 in ids
-    }
-    out = []
-    for r in range(1, len(ids) + 1):
-        for subset in itertools.combinations(ids, r):
-            sset = set(subset)
-            if ps.identity_nat(M).key() not in sset:
-                continue
-            if all(comp[(k1, k2)] in sset for k1 in subset for k2 in subset):
-                out.append([keys[k] for k in subset])
-    return out
-
-
-def _acts_freely(M: ps.Presheaf, group: list[ps.NatTransformation]) -> bool:
-    ident = ps.identity_nat(M).key()
-    for g in group:
-        if g.key() == ident:
-            continue
-        for a in range(M.base.n_objects):
-            if any(g.components[a][x] == x for x in M.values[a]):
-                return False
     return True
 
 
@@ -651,7 +598,6 @@ _FLAVOR_AXIOMS = {
         "effective_equivalence_relations", "coproducts", "coproducts_disjoint",
         "coproducts_universal",
     ),
-    "poly": ("limits", "coproducts"),
     "fam_f": ("limits", "coproducts", "coproducts_disjoint", "coproducts_universal"),
 }
 
@@ -844,7 +790,6 @@ class CompletionStructure:
     limit_cones: tuple[Cone, ...]
     coproduct_cocones: tuple[Cocone, ...]
     regular_epis: tuple[int, ...]
-    free_action_cocones: tuple[Cocone, ...]
 
 
 def completion_structure(E: ConcreteCompletion, flavor: Optional[str] = None) -> CompletionStructure:
@@ -872,8 +817,7 @@ def completion_structure(E: ConcreteCompletion, flavor: Optional[str] = None) ->
 
     cocones: list[Cocone] = []
     epis: list[int] = []
-    frees: list[Cocone] = []
-    if flavor in ("lext", "pret", "poly", "fam_f"):
+    if flavor in ("lext", "pret", "fam_f"):
         cc = colimit_in_category(empty_diagram(cat))
         if cc is not None:
             cocones.append(cc)
@@ -885,9 +829,7 @@ def completion_structure(E: ConcreteCompletion, flavor: Optional[str] = None) ->
         for e in range(cat.n_morphisms):
             if _is_regular_epi_in(cat, e):
                 epis.append(e)
-    if flavor == "poly":
-        frees.extend(_free_action_cocones(cat))
-    return CompletionStructure(tuple(cones), tuple(cocones), tuple(epis), tuple(frees))
+    return CompletionStructure(tuple(cones), tuple(cocones), tuple(epis))
 
 
 def _is_regular_epi_in(cat: FiniteCategory, e: int) -> bool:
@@ -906,50 +848,6 @@ def _is_regular_epi_in(cat: FiniteCategory, e: int) -> bool:
     return is_universal(cat, target, legs, [(c.apex, c.legs) for c in all_cocones(diagram)], cocone=True)
 
 
-def _group_shape(n: int, table: dict) -> FiniteCategory:
-    mor_names = [f"g{k}" for k in range(n)]
-    t = [[table[(g, f)] for f in range(n)] for g in range(n)]
-    return FiniteCategory.build(("*",), tuple(mor_names), (0,) * n, (0,) * n, (0,), t, name=f"grp{n}")
-
-
-def _free_action_cocones(cat: FiniteCategory) -> list[Cocone]:
-    """Colimiting cocones of free one-object group actions in the category."""
-    out = []
-    initial = colimit_in_category(empty_diagram(cat))
-    init_obj = initial.apex if initial is not None else None
-    for a in range(cat.n_objects):
-        auts = list(cat.automorphisms(a))
-        for r in range(1, len(auts) + 1):
-            for subset in itertools.combinations(auts, r):
-                sset = set(subset)
-                if cat.identity[a] not in sset:
-                    continue
-                if any(cat.table[g][f] not in sset for g in subset for f in subset):
-                    continue
-                if len(subset) < 2:
-                    continue
-                free = True
-                for g in subset:
-                    for h in subset:
-                        if g < h:
-                            eq = limit_in_category(parallel_pair_diagram(cat, g, h))
-                            if eq is None or init_obj is None or eq.apex != init_obj:
-                                free = False
-                                break
-                    if not free:
-                        break
-                if not free:
-                    continue
-                idx = {g: k for k, g in enumerate(subset)}
-                table = {(idx[g], idx[f]): idx[cat.table[g][f]] for g in subset for f in subset}
-                shape = _group_shape(len(subset), table)
-                body = FunctorData(shape, cat, (a,), tuple(subset))
-                cc = colimit_in_category(Diagram(shape, body))
-                if cc is not None:
-                    out.append(cc)
-    return out
-
-
 def is_phi_exact_set_functor(G: ps.SetFunctor, struct: CompletionStructure, flavor: str) -> bool:
     """Does ``G`` preserve the materialized limits and flavor colimits?"""
     cat = G.base
@@ -962,9 +860,6 @@ def is_phi_exact_set_functor(G: ps.SetFunctor, struct: CompletionStructure, flav
     for e in struct.regular_epis:
         image = set(G.actions[e].values())
         if image != set(G.values[cat.tgt[e]]):
-            return False
-    for cocone in struct.free_action_cocones:
-        if not fl.preserves_colimit(G, cocone):
             return False
     return True
 

@@ -171,9 +171,6 @@ class FiniteCategory:
             )
         return self._cache["isos"]
 
-    def automorphisms(self, a: int) -> tuple[int, ...]:
-        return tuple(m for m in self.hom(a, a) if m in self.isos())
-
     def parallel_pairs(self, distinct: bool = True) -> Iterator[tuple[int, int]]:
         for u in range(self.n_morphisms):
             for v in range(u + 1 if distinct else u, self.n_morphisms):
@@ -197,23 +194,24 @@ def validate_category(raw: dict, name: Optional[str] = None, infer_identities: b
         mor_rows = list(raw["morphisms"])
         identities = dict(raw["identities"])
         compose_rows = list(raw.get("compose", []))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed category description: {exc}") from exc
+    _check_names(objects, "object")
+    _check_names([*identities, *identities.values()], "identity entry")
     obj_id = {o: i for i, o in enumerate(objects)}
     if len(obj_id) != len(objects):
         raise ValidationError("duplicate object names")
     names, src, tgt = [], [], []
     mor_id: dict[str, int] = {}
-    for row in mor_rows:
-        m = row["id"]
+    for m, s, t in _rows(mor_rows, ("id", "src", "tgt"), "morphism"):
         if m in mor_id:
             raise ValidationError(f"duplicate morphism name {m}")
-        if row["src"] not in obj_id or row["tgt"] not in obj_id:
+        if s not in obj_id or t not in obj_id:
             raise ValidationError(f"morphism {m} refers to unknown object")
         mor_id[m] = len(names)
         names.append(m)
-        src.append(obj_id[row["src"]])
-        tgt.append(obj_id[row["tgt"]])
+        src.append(obj_id[s])
+        tgt.append(obj_id[t])
     identity = [-1] * len(objects)
     for o, m in identities.items():
         if o not in obj_id or m not in mor_id:
@@ -224,17 +222,15 @@ def validate_category(raw: dict, name: Optional[str] = None, infer_identities: b
         raise ValidationError(f"object {missing} has no identity")
     n = len(names)
     table = [[-1] * n for _ in range(n)]
-    for row in compose_rows:
+    for gn, fn, rn in _rows(compose_rows, ("g", "f", "result"), "compose"):
         try:
-            g, f, r = mor_id[row["g"]], mor_id[row["f"]], mor_id[row["result"]]
+            g, f, r = mor_id[gn], mor_id[fn], mor_id[rn]
         except KeyError as exc:
             raise ValidationError(f"compose entry refers to unknown morphism: {exc}") from exc
         if tgt[f] != src[g]:
-            raise ValidationError(
-                f"compose entry ({row['g']}, {row['f']}) is not a composable pair"
-            )
+            raise ValidationError(f"compose entry ({gn}, {fn}) is not a composable pair")
         if table[g][f] not in (-1, r):
-            raise ValidationError(f"conflicting compose entries for ({row['g']}, {row['f']})")
+            raise ValidationError(f"conflicting compose entries for ({gn}, {fn})")
         table[g][f] = r
     if infer_identities:
         for f in range(n):
@@ -247,6 +243,25 @@ def validate_category(raw: dict, name: Optional[str] = None, infer_identities: b
     return FiniteCategory.build(
         objects, names, src, tgt, identity, table, name or raw.get("name", "C")
     )
+
+
+def _check_names(names, kind: str):
+    for x in names:
+        if not isinstance(x, str):
+            raise ValidationError(f"{kind} name {x!r} is not a string")
+
+
+def _rows(rows, keys: tuple[str, ...], kind: str) -> Iterator[tuple[str, ...]]:
+    """The string fields ``keys`` of each JSON object in ``rows``."""
+    for row in rows:
+        if not isinstance(row, dict):
+            raise ValidationError(f"{kind} row {row!r} is not an object")
+        try:
+            fields = tuple(row[k] for k in keys)
+        except KeyError as exc:
+            raise ValidationError(f"{kind} row {row!r} has no field {exc}") from exc
+        _check_names(fields, kind)
+        yield fields
 
 
 def opposite(cat: FiniteCategory) -> FiniteCategory:

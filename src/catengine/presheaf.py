@@ -194,15 +194,13 @@ class NatTransformation:
                 if self.components[a][M.actions[f][x]] != N.actions[f][self.components[b][x]]:
                     raise ValidationError(f"naturality fails at {C.morphisms[f]}")
 
-    def apply(self, a: int, x):
-        return self.components[a][x]
-
     def key(self) -> tuple:
-        """Canonical hashable form, for keying transformations in dicts and
-        sets; equality tests compare ``components`` directly."""
-        return tuple(
-            tuple(sorted(comp.items(), key=repr)) for comp in self.components
-        )
+        """Hashable form for keying transformations with a common source in
+        dicts and sets: each component's images in the source's fiber order.
+        Equality tests compare ``components`` directly."""
+        return tuple([
+            tuple([comp[x] for x in xs]) for comp, xs in zip(self.components, self.source.values)
+        ])
 
     def is_pointwise_injective(self) -> bool:
         return all(len(set(c.values())) == len(c) for c in self.components)

@@ -281,3 +281,37 @@ def test_check_flat_rejects_malformed_functor_file(functor, tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("input error: functor ")
+
+
+@pytest.mark.parametrize("category", [
+    {"objects": ["A"], "morphisms": ["1A"], "identities": {"A": "1A"}},
+    {"objects": ["A"], "morphisms": [{"id": "1A", "src": "A", "tgt": "A"}], "identities": {"A": "1A"},
+     "compose": ["1A"]},
+    {"objects": [["A"]], "morphisms": [], "identities": {}},
+    {"objects": ["A"], "morphisms": [{"id": "1A", "src": "A"}], "identities": {"A": "1A"}},
+])
+def test_malformed_category_file_exit_two(category, tmp_path, capsys):
+    # the first three once escaped as a TypeError traceback with exit 1
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(category))
+    code = cli.main(["analyze-limits", str(f), "--mode", "weak"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("input error: ") and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command", ["build-completion", "verify-axioms", "universal-property"])
+def test_poly_flavor_rejected(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--category", "ONE", "--flavor", "poly"])
+    assert exc.value.code == 2 and "invalid choice: 'poly'" in capsys.readouterr().err
+
+
+def test_poly_completion_file_rejected(run, tmp_path, capsys):
+    comp = tmp_path / "lext.json"
+    assert run("build-completion", "--category", "ONE", "--flavor", "lext", "--out", str(comp))[0] == 0
+    data = json.loads(comp.read_text())
+    data["flavor"] = "poly"
+    comp.write_text(json.dumps(data))
+    code = cli.main(["verify-axioms", "--completion", str(comp)])
+    assert code == 2 and capsys.readouterr().err == "input error: unknown flavor 'poly'\n"

@@ -612,5 +612,18 @@ def test_hom_set_order_matches_brute_force(cats):
             # the law check and the ultraproduct search compare components:
             # equal exactly when the keys are
             assert all((s.components == t.components) == (s.key() == t.key()) for s in got for t in brute)
+            # the key reads each component in fiber order, not in the order
+            # its dict was filled
+            for t in got:
+                rev = ps.NatTransformation(M, N, tuple(dict(reversed(c.items())) for c in t.components))
+                assert rev.key() == t.key()
+                sizes["reordered"] += any(len(c) > 1 for c in t.components)
             sizes[min(len(want), 2)] += 1
-    assert sizes[0] > 0 and sizes[2] > 0, sizes
+    assert sizes[0] > 0 and sizes[2] > 0 and sizes["reordered"] > 0, sizes
+    # an iso composed with its inverse fills its dicts in the inverse's order
+    Y = ps.yoneda(cats["Z2"], 0)
+    ident = ps.identity_nat(Y)
+    swap = next(t for t in ps.hom_set(Y, Y) if t.components != ident.components)
+    back = ps.compose_nats(swap, swap.inverse())
+    assert [list(c) for c in back.components] != [list(c) for c in ident.components]
+    assert back.components == ident.components and back.key() == ident.key()

@@ -3,6 +3,9 @@
     python tools/reach.py              # the tier-1 suite under tests/
     python tools/reach.py -k flat      # extra arguments go to pytest
 
+hypothesis draws with ``--hypothesis-seed=0`` unless the arguments give a
+seed, so two runs on the same tree report the same lines.
+
 pytest runs in this process under a ``sys.settrace`` line tracer that
 records only frames of files under ``src/``; a module's executable lines
 are the line numbers of its compiled code objects.  Prints each module's
@@ -42,6 +45,8 @@ def main(args):
 
     sys.path.insert(0, SRC)
     os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    if not any(a.startswith("--hypothesis-seed") for a in args):
+        args = ["--hypothesis-seed=0", *args]
     sys.settrace(_call)
     try:
         status = pytest.main(["-q", "-p", "no:cacheprovider", os.path.join(os.path.dirname(SRC), "tests"), *args])
