@@ -1090,25 +1090,43 @@ def nonrepresentable_limit_witness(C: FiniteCategory, bounds: Bounds = Bounds())
 
 
 def completion_from_json(data: dict) -> ConcreteCompletion:
-    """Rebuild a serialized completion; every presheaf is re-validated."""
-    from .fincat import validate_category
+    """Rebuild a serialized completion; every presheaf is re-validated, and
+    a file of the wrong shape raises ``ValidationError``."""
+    from .fincat import json_field, validate_category
 
-    base = validate_category(data["base"])
-    bounds = Bounds(**data["bounds"])
+    base = validate_category(json_field(data, "base", dict, "completion"))
+    raw_bounds = json_field(data, "bounds", dict, "completion")
+    if not raw_bounds.keys() <= Bounds.__dataclass_fields__.keys() or any(
+        type(v) is not int for v in raw_bounds.values()
+    ):
+        raise ValidationError(f"completion bounds {raw_bounds!r} are not named integers")
+    bounds = Bounds(**raw_bounds)
     objects, provenance = [], []
-    for entry in data["objects"]:
-        values = tuple(tuple(fiber) for fiber in entry["values"])
-        actions = tuple(
-            {x: y for (x, y) in entry["actions"][f]} for f in range(base.n_morphisms)
-        )
-        objects.append(ps.Presheaf(base, values, actions, name=entry["name"]))
-        provenance.append(Provenance(**entry["provenance"]))
+    for entry in json_field(data, "objects", list, "completion"):
+        name = json_field(entry, "name", str, "completion object")
+        where = f"completion object {name}"
+        fibers = json_field(entry, "values", list, where)
+        actions = json_field(entry, "actions", list, where)
+        pairs = [xy for act in actions if isinstance(act, list) for xy in act]
+        if (len(fibers), len(actions)) != (base.n_objects, base.n_morphisms) or not (
+            all(isinstance(row, list) for row in fibers + actions + pairs)
+            and all(len(xy) == 2 for xy in pairs)
+            and all(isinstance(x, (str, int)) for row in fibers + pairs for x in row)
+        ):
+            raise ValidationError(f"{where} is not a table of value sets and actions over {base.name}")
+        values = tuple(tuple(fiber) for fiber in fibers)
+        objects.append(ps.Presheaf(base, values, tuple({x: y for (x, y) in act} for act in actions), name=name))
+        prov = json_field(entry, "provenance", dict, where)
+        provenance.append(Provenance(*(json_field(prov, k, str, f"provenance of {name}") for k in ("kind", "detail"))))
+    events = json_field(data, "bound_events", list, "completion")
+    if not all(isinstance(e, str) for e in events):
+        raise ValidationError(f"completion bound_events {events!r} are not strings")
     return ConcreteCompletion(
         base,
-        data["flavor"],
+        json_field(data, "flavor", str, "completion"),
         bounds,
         tuple(objects),
         tuple(provenance),
-        data["saturated"],
-        tuple(data["bound_events"]),
+        json_field(data, "saturated", bool, "completion"),
+        tuple(events),
     )

@@ -180,6 +180,24 @@ class FiniteCategory:
                     yield (u, v)
 
 
+_JSON_KIND = {list: "list", dict: "object", str: "string", bool: "boolean"}
+_REQUIRED = object()
+
+
+def json_field(raw, key: str, kind: type, what: str, default=_REQUIRED):
+    """``raw[key]`` (or ``default`` when given and the key is absent), which
+    must be a JSON value of type ``kind``; ``what`` names ``raw`` in the
+    ``ValidationError`` raised otherwise."""
+    if not isinstance(raw, dict):
+        raise ValidationError(f"{what} {raw!r} is not a JSON object")
+    value = raw.get(key, default)
+    if value is _REQUIRED:
+        raise ValidationError(f"{what} has no field {key!r}")
+    if not isinstance(value, kind):
+        raise ValidationError(f"{what} {key} {value!r} is not a JSON {_JSON_KIND[kind]}")
+    return value
+
+
 def validate_category(raw: dict, name: Optional[str] = None, infer_identities: bool = True) -> FiniteCategory:
     """Validate a composition-table description and return the category.
 
@@ -189,13 +207,11 @@ def validate_category(raw: dict, name: Optional[str] = None, infer_identities: b
     unless ``infer_identities`` is off, in which case a missing entry raises
     :class:`MissingComposite` with the offending pair.
     """
-    try:
-        objects = list(raw["objects"])
-        mor_rows = list(raw["morphisms"])
-        identities = dict(raw["identities"])
-        compose_rows = list(raw.get("compose", []))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed category description: {exc}") from exc
+    objects = json_field(raw, "objects", list, "category")
+    mor_rows = json_field(raw, "morphisms", list, "category")
+    identities = json_field(raw, "identities", dict, "category")
+    compose_rows = json_field(raw, "compose", list, "category", default=[])
+    raw_name = json_field(raw, "name", str, "category", default="C")
     _check_names(objects, "object")
     _check_names([*identities, *identities.values()], "identity entry")
     obj_id = {o: i for i, o in enumerate(objects)}
@@ -240,9 +256,7 @@ def validate_category(raw: dict, name: Optional[str] = None, infer_identities: b
             e = identity[tgt[f]]
             if table[e][f] == -1:
                 table[e][f] = f
-    return FiniteCategory.build(
-        objects, names, src, tgt, identity, table, name or raw.get("name", "C")
-    )
+    return FiniteCategory.build(objects, names, src, tgt, identity, table, name or raw_name)
 
 
 def _check_names(names, kind: str):
@@ -504,7 +518,7 @@ class Diagram:
             raise ValidationError("diagram body must be a functor out of its shape")
 
     def __hash__(self) -> int:
-        # computed once: flatness memos and virtual-limit caches hash diagrams
+        # computed once: the virtual-limit and limit caches hash diagrams
         if self._hash is None:
             object.__setattr__(self, "_hash", hash((self.shape, self.body)))
         return self._hash

@@ -6,29 +6,18 @@ covering, finitely multicontinuous, finitely fc-continuous, merging
 multi-finite limits) express the same property through weak limits,
 multilimits, fc-limits and multi-finite limits of the domain.
 
-All functor targets are concrete over a presheaf category: limits are
-computed pointwise and regular epimorphisms are pointwise surjections.
-Comparison maps are always constructed element by element, never inferred
-from cardinalities.
+All functor targets are concrete over a presheaf category, where limits,
+weighted colimits and comparison maps are computed pointwise.  So every
+route decides fiber by fiber, on finite sets: a comparison is an
+isomorphism when it is bijective on every fiber of the target base, and a
+regular epimorphism when it is surjective on every fiber.  A ``SetFunctor``
+is one fiber; a ``ConcreteFunctor`` has one per object of its target base
+(``_fibers``).  Comparison maps are always computed element by element,
+never inferred from cardinalities, and no presheaf is built for them.
 
 Functors are validated where they enter: a ``ConcreteFunctor`` given by a
-caller is checked in full.  Only images of validated functors skip the
-check: the conversion of a (validated) ``SetFunctor``, made once per
-functor, and the composite of a functor with a diagram in
-``composite_limit``.  The comparison maps are natural by construction and
-are built unchecked too, as is the weighted colimit of ``is_flat``.
-
-Every route compares against the same limit of ``F∘D``, so each
-``ConcreteFunctor`` keeps a memo of what is shared between routes: the
-limit cone of ``composite_limit`` keyed by the ``Diagram``, and the
-coproduct of a family's images in ``canonical_from_family`` keyed by the
-family's object indices.  The memo is set on first use and dies with the
-functor; the comparison maps built from it are rebuilt and tested on every
-call.
-
-Preservation of a named (co)limit by a set-valued functor
-(``preserves_limit``, ``preserves_colimit``, and with them the lex route)
-is decided on the finite sets themselves: no conversion, no memo.
+caller is checked in full.  Only ``from_set_functor`` builds one unchecked,
+from a validated ``SetFunctor``.
 """
 from __future__ import annotations
 
@@ -88,9 +77,6 @@ class ConcreteFunctor:
     morphisms: tuple[ps.NatTransformation, ...]
     name: str = field(default="F", compare=False)
     check: bool = field(default=True, compare=False)
-    # the shared limits and coproducts, set once by _memo; a class default
-    # rather than a field, so that functors never compared carry nothing
-    _shared = None
 
     def __post_init__(self):
         if not self.check:
@@ -117,83 +103,28 @@ class ConcreteFunctor:
         return cls(F.base, POINT_BASE, objs, mors, name=F.name, check=False)
 
 
-def _as_concrete(F) -> ConcreteFunctor:
-    """``F`` as a ``ConcreteFunctor``; a ``SetFunctor`` is converted once and
-    the conversion kept on it."""
+def _fibers(F) -> tuple[FiniteCategory, list[tuple[Sequence, Sequence[dict]]]]:
+    """The source of ``F`` and, for each object of its target base, the
+    value sets of ``F`` there, one per source object, and the maps between
+    them, one per source morphism; a ``SetFunctor`` has a single fiber."""
     if isinstance(F, ConcreteFunctor):
-        return F
+        return F.source, [
+            (tuple(M.values[b] for M in F.objects), tuple(t.components[b] for t in F.morphisms))
+            for b in range(F.target_base.n_objects)
+        ]
     if isinstance(F, ps.SetFunctor):
-        if F._concrete is None:
-            object.__setattr__(F, "_concrete", ConcreteFunctor.from_set_functor(F))
-        return F._concrete
+        return F.base, [(F.values, F.actions)]
     raise ValidationError(f"cannot interpret {type(F).__name__} as a concrete functor")
 
 
-def _memo(F: ConcreteFunctor) -> dict:
-    if F._shared is None:
-        object.__setattr__(F, "_shared", {})
-    return F._shared
-
-
-def composite_limit(F: ConcreteFunctor, diagram: Diagram) -> ps.PresheafCone:
-    """The pointwise limit of ``F`` composed with a diagram in its source.
-
-    Built once per functor and (equal) diagram and kept in ``F``'s memo, so
-    every flatness route on ``F`` reads the same cone.  The composite is not
-    re-validated: ``F`` and the diagram's body are both validated (or, for
-    ``from_set_functor``, images of a validated functor), and a composite of
-    functors is a functor.
-    """
-    memo = _memo(F)
-    lim = memo.get(diagram)
-    if lim is None:
-        S = diagram.shape
-        vertices = tuple(F.objects[diagram.vertex(d)] for d in range(S.n_objects))
-        edges = tuple(F.morphisms[diagram.body.morphism_map[s]] for s in range(S.n_morphisms))
-        composite = ps.PresheafDiagram(S, vertices, edges, check=False)
-        lim = memo[diagram] = ps.limit(composite, base=F.target_base, name=f"lim F{diagram.describe()}")
-    return lim
-
-
-def comparison_from_cone(F: ConcreteFunctor, cone: Cone, lim: ps.PresheafCone) -> ps.NatTransformation:
-    """The comparison ``F(apex) -> lim F∘H`` induced by a cone over ``H``."""
-    B = F.target_base
-    src = F.objects[cone.apex]
-    comps = tuple(
-        {
-            u: tuple(F.morphisms[leg].components[b][u] for leg in cone.legs)
-            for u in src.values[b]
-        }
-        for b in range(B.n_objects)
+def _composite_limit(diagram: Diagram, values: Sequence, maps: Sequence[dict]) -> list[tuple]:
+    """The limit of a diagram composed with one fiber of a functor."""
+    S = diagram.shape
+    return ps.limit_of_sets(
+        S,
+        [values[diagram.vertex(d)] for d in range(S.n_objects)],
+        [maps[diagram.body.morphism_map[s]] for s in range(S.n_morphisms)],
     )
-    return ps.NatTransformation(src, lim.apex, comps, check=False)
-
-
-def comparison_from_weak_limit(F: ConcreteFunctor, wl: tuple[int, Cone], lim: ps.PresheafCone) -> ps.NatTransformation:
-    """The comparison induced by the cone of a weak limit ``(apex, cone)``."""
-    return comparison_from_cone(F, wl[1], lim)
-
-
-def canonical_from_family(
-    F: ConcreteFunctor, family: Sequence[tuple[int, Cone]], lim: ps.PresheafCone
-) -> ps.NatTransformation:
-    """The canonical map from the coproduct of the family's images to the
-    limit; the coproduct is kept in ``F``'s memo, keyed by the family's
-    object indices."""
-    B = F.target_base
-    memo = _memo(F)
-    key = tuple(c for (c, _) in family)
-    cp = memo.get(key)
-    if cp is None:
-        cp = memo[key] = ps.coproduct(B, [F.objects[c] for c in key])
-    comps = []
-    for b in range(B.n_objects):
-        comp = {}
-        for (i, u) in cp.apex.values[b]:
-            _, cone = family[i]
-            comp[(i, u)] = tuple(F.morphisms[leg].components[b][u] for leg in cone.legs)
-        comps.append(comp)
-    return ps.NatTransformation(cp.apex, lim.apex, tuple(comps), check=False)
 
 
 def _sweep(cat: FiniteCategory, diagrams, bound: int = 0):
@@ -218,12 +149,7 @@ def is_flat_set_valued(F: ps.SetFunctor, diagrams=None, bound: int = 0) -> FlatV
     for diagram in _sweep(C, diagrams, bound):
         v = vl.virtual_limit(C, diagram)
         coend = ps.weighted_colimit(v.weight, F)
-        S = diagram.shape
-        lim_elems = ps.limit_of_sets(
-            S,
-            [F.values[diagram.vertex(d)] for d in range(S.n_objects)],
-            [F.actions[diagram.body.morphism_map[s]] for s in range(S.n_morphisms)],
-        )
+        lim_elems = _composite_limit(diagram, F.values, F.actions)
         images = {}
         for rep in coend.elements:
             c, w, x = rep
@@ -263,55 +189,26 @@ def is_flat_via_elements(F: ps.SetFunctor) -> FlatVerdict:
     return FlatVerdict(bool(verdict), failing, "elements")
 
 
-def weighted_colimit_concrete(W: ps.Presheaf, F: ConcreteFunctor) -> tuple[ps.Presheaf, dict]:
-    """Colimit of a concrete functor weighted by a presheaf on its source.
-
-    Computed pointwise over the target base: triples ``(c, w, u)`` with
-    ``u`` an element of ``F(c)`` are identified along the usual coend
-    relations.  Returns the presheaf together with the class map.
-    """
-    C, B = F.source, F.target_base
-    if W.base != C:
-        raise ValidationError("weight must live on the functor's source")
-    values, class_of = [], []
-    for b in range(B.n_objects):
-        reps, cls = ps.coend(W, [M.values[b] for M in F.objects], [t.components[b] for t in F.morphisms])
-        values.append(reps)
-        class_of.append(cls)
-    actions = []
-    for f in range(B.n_morphisms):
-        a, b = B.src[f], B.tgt[f]
-        act = {}
-        for (c, w, u) in values[b]:
-            act[(c, w, u)] = class_of[a][(c, w, F.objects[c].actions[f][u])]
-        actions.append(act)
-    out = ps.Presheaf(B, tuple(values), tuple(actions), name=f"({W.name})*({F.name})", check=False)
-    return out, {b: class_of[b] for b in range(B.n_objects)}
-
-
 def is_flat(F, diagrams=None, bound: int = 0) -> FlatVerdict:
     """Definitional flatness for a functor into a concrete target.
 
     For each swept diagram the weighted colimit of ``F`` by the diagram's
     cone presheaf must map isomorphically onto the pointwise limit of the
-    composite.
+    composite: on every fiber, the coend classes ``(c, w, u)`` must biject
+    with the limit through ``u -> (F(leg)(u) for leg in w)``.
     """
-    F = _as_concrete(F)
-    C, B = F.source, F.target_base
+    C, fibers = _fibers(F)
     for diagram in _sweep(C, diagrams, bound):
-        v = vl.virtual_limit(C, diagram)
-        co, class_of = weighted_colimit_concrete(v.weight, F)
-        lim = composite_limit(F, diagram)
-        comps = []
-        for b in range(B.n_objects):
-            comp, fiber = {}, set(lim.apex.values[b])
-            for (c, w, u) in co.values[b]:
-                comp[(c, w, u)] = tuple(F.morphisms[leg].components[b][u] for leg in w)
-                if comp[(c, w, u)] not in fiber:
-                    raise ValidationError("internal: comparison map leaves the limit")
-            comps.append(comp)
-        cmp_nat = ps.NatTransformation(co, lim.apex, tuple(comps), check=False)
-        if not cmp_nat.is_pointwise_bijective():
+        weight = vl.virtual_limit(C, diagram).weight
+        bijective = True
+        for values, maps in fibers:
+            reps, _ = ps.coend(weight, values, maps)
+            lim = set(_composite_limit(diagram, values, maps))
+            images = {tuple(maps[leg][u] for leg in w) for (_, w, u) in reps}
+            if not images <= lim:
+                raise ValidationError("internal: comparison map leaves the limit")
+            bijective = bijective and len(reps) == len(images) == len(lim)
+        if not bijective:
             return FlatVerdict(
                 False,
                 FailingWeight(diagram.describe(), "weighted colimit does not match the limit"),
@@ -324,34 +221,33 @@ def is_flat(F, diagrams=None, bound: int = 0) -> FlatVerdict:
 
 
 def _structural(method: str, F, diagrams, bound: int) -> FlatVerdict:
-    """Sweep the domain's diagrams; at each, compare the image of the
-    detected virtual-limit family with the actual limit of the composite."""
-    detector, missing, comparison, bijective, detail = _STRUCTURAL[method]
-    F = _as_concrete(F)
-    C = F.source
+    """Sweep the domain's diagrams; at each, map the values of the detected
+    virtual-limit family into the actual limit of the composite through the
+    cone legs, fiber by fiber, and test the map onto (and one-to-one)."""
+    detector, missing, bijective, detail = _STRUCTURAL[method]
+    C, fibers = _fibers(F)
     for diagram in _sweep(C, diagrams, bound):
-        # looked up per call, so a rebinding of the detector or comparison is seen here
+        # looked up per call, so a rebinding of the detector is seen here
         found = getattr(vl, detector)(vl.virtual_limit(C, diagram))
         if found is None:
             raise missing(diagram.describe())
-        comp = globals()[comparison](F, found, composite_limit(F, diagram))
-        if not (comp.is_pointwise_bijective() if bijective else comp.is_pointwise_surjective()):
-            return FlatVerdict(False, FailingWeight(diagram.describe(), detail), method)
+        family = [found] if detector == "weak_limit" else found  # a weak limit is one cone
+        for values, maps in fibers:
+            images = [tuple(maps[leg][u] for leg in cone.legs) for (c, cone) in family for u in values[c]]
+            hit = set(images)
+            if hit != set(_composite_limit(diagram, values, maps)) or (bijective and len(hit) != len(images)):
+                return FlatVerdict(False, FailingWeight(diagram.describe(), detail), method)
     return FlatVerdict(True, None, method)
 
 
-# method -> (virtlim detector, raised when it finds nothing, comparison map in
-#            this module, whether it must be bijective rather than surjective,
-#            failure detail); both functions by name
+# method -> (virtlim detector, by name; raised when it finds nothing; whether
+#            the comparison must be bijective rather than surjective; failure
+#            detail)
 _STRUCTURAL = {
-    "covering": ("weak_limit", NoWeakLimit, "comparison_from_weak_limit",
-                 False, "weak-limit comparison is not a regular epi"),
-    "multi": ("multilimit", NoMultilimit, "canonical_from_family",
-              True, "multilimit comparison is not an isomorphism"),
-    "fc": ("fc_limit", None, "canonical_from_family",
-           False, "fc-family comparison is not a regular epi"),
-    "merge": ("multi_finite_limit", NoMultiFiniteLimit, "canonical_from_family",
-              True, "multi-finite comparison is not an isomorphism"),
+    "covering": ("weak_limit", NoWeakLimit, False, "weak-limit comparison is not a regular epi"),
+    "multi": ("multilimit", NoMultilimit, True, "multilimit comparison is not an isomorphism"),
+    "fc": ("fc_limit", None, False, "fc-family comparison is not a regular epi"),
+    "merge": ("multi_finite_limit", NoMultiFiniteLimit, True, "multi-finite comparison is not an isomorphism"),
 }
 
 
@@ -385,13 +281,7 @@ def preserves_limit(F: ps.SetFunctor, cone: Cone) -> bool:
     canonical map from ``F(apex)`` checked bijective, as ``preserves_colimit``
     does for colimits.
     """
-    D = cone.diagram
-    S = D.shape
-    lim = ps.limit_of_sets(
-        S,
-        [F.values[D.vertex(d)] for d in range(S.n_objects)],
-        [F.actions[D.body.morphism_map[s]] for s in range(S.n_morphisms)],
-    )
+    lim = _composite_limit(cone.diagram, F.values, F.actions)
     images = [tuple(F.actions[leg][u] for leg in cone.legs) for u in F.values[cone.apex]]
     return len(set(images)) == len(images) and set(images) == set(lim)
 

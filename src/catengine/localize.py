@@ -177,13 +177,17 @@ def fractions(cong: Congruence) -> FractionsResult:
             reps.append(sp)
     cls = [rep_of[uf.find(i)] for i in range(len(spans))]
 
+    pullback_legs: dict[tuple[int, int], tuple[int, int]] = {}  # (f, t) -> (q, p)
+
     def compose_spans(sp2, sp1):
         # sp1: a -> b then sp2: b -> c
         (t, g), (s, f) = sp2, sp1
-        cone = pullback_in_category(host, f, t)
-        if cone is None:
-            raise MissingPullback(host.morphisms[f], host.morphisms[t])
-        q, p = cone.legs[0], cone.legs[2]
+        if (f, t) not in pullback_legs:
+            cone = pullback_in_category(host, f, t)
+            if cone is None:
+                raise MissingPullback(host.morphisms[f], host.morphisms[t])
+            pullback_legs[f, t] = cone.legs[0], cone.legs[2]
+        q, p = pullback_legs[f, t]
         return (host.table[s][q], host.table[g][p])
 
     n = len(reps)

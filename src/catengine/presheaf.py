@@ -122,9 +122,6 @@ class SetFunctor(_SetTables):
     name: str = field(default="F", compare=False)
     cap: int = field(default=FIBER_CAP, compare=False)
     check: bool = field(default=True, compare=False)
-    # the ConcreteFunctor, set once by flatness._as_concrete; a class default
-    # rather than a field, so that functors never converted carry nothing
-    _concrete = None
 
     def __post_init__(self):
         _check_tables(self, True, "functor")

@@ -364,12 +364,137 @@ def virtual_limit_by_presheaf_limit(cat, diagram):
     return ps.limit(ps.PresheafDiagram(S, vertices, edges), base=cat, name=f"lim Y{diagram.describe()}").apex
 
 
-def preserves_limit_concrete(F, cone):
-    """``flatness.preserves_limit`` through a fresh ``ConcreteFunctor``: the
-    comparison from ``F(apex)`` into the pointwise limit of the composite
-    must be bijective."""
-    from catengine import flatness as fl
+def _checked(M):
+    """A presheaf, transformation or concrete functor rebuilt with every check."""
+    import dataclasses
 
-    conc = fl.ConcreteFunctor.from_set_functor(F)
-    lim = fl.composite_limit(conc, cone.diagram)
-    return fl.comparison_from_cone(conc, cone, lim).is_pointwise_bijective()
+    return dataclasses.replace(M, check=True)
+
+
+def checked_concrete(F):
+    """``F`` as a ``ConcreteFunctor`` whose presheaves, transformations and
+    functor laws are all checked; a ``SetFunctor`` goes through
+    ``ConcreteFunctor.from_set_functor`` first, so its output is checked too."""
+    from catengine import flatness as fl, presheaf as ps
+
+    if isinstance(F, ps.SetFunctor):
+        F = fl.ConcreteFunctor.from_set_functor(F)
+    C = F.source
+    objs = tuple(_checked(M) for M in F.objects)
+    mors = tuple(
+        ps.NatTransformation(objs[C.src[m]], objs[C.tgt[m]], t.components) for m, t in enumerate(F.morphisms)
+    )
+    return fl.ConcreteFunctor(C, F.target_base, objs, mors, name=F.name)
+
+
+def composite_limit_by_presheaves(F, diagram):
+    """The pointwise limit of a concrete functor composed with ``diagram``,
+    through a checked presheaf diagram; the apex, checked."""
+    from catengine import presheaf as ps
+
+    S = diagram.shape
+    composite = ps.PresheafDiagram(
+        S,
+        tuple(F.objects[diagram.vertex(d)] for d in range(S.n_objects)),
+        tuple(F.morphisms[diagram.body.morphism_map[s]] for s in range(S.n_morphisms)),
+    )
+    return _checked(ps.limit(composite, base=F.target_base).apex)
+
+
+def weighted_colimit_by_presheaves(W, F):
+    """The colimit of a concrete functor weighted by ``W``, as a checked
+    presheaf over the target base: at each fiber, the triples ``(c, w, u)``
+    identified along ``(a, W(f)(w), u) ~ (b, w, F(f)(u))`` by breadth-first
+    search, each class named by its first member."""
+    from catengine import presheaf as ps
+
+    C, B = F.source, F.target_base
+    values, rep_of = [], []
+    for b in range(B.n_objects):
+        items = [(c, w, u) for c in range(C.n_objects) for w in W.values[c] for u in F.objects[c].values[b]]
+        pairs = [
+            ((C.src[f], W.actions[f][w], u), (C.tgt[f], w, F.morphisms[f].components[b][u]))
+            for f in range(C.n_morphisms)
+            for w in W.values[C.tgt[f]]
+            for u in F.objects[C.src[f]].values[b]
+        ]
+        classes = connected_components(items, pairs)
+        values.append(tuple(cls[0] for cls in classes))
+        rep_of.append({x: cls[0] for cls in classes for x in cls})
+    actions = tuple(
+        {(c, w, u): rep_of[B.src[g]][(c, w, F.objects[c].actions[g][u])] for (c, w, u) in values[B.tgt[g]]}
+        for g in range(B.n_morphisms)
+    )
+    return ps.Presheaf(B, tuple(values), actions, name=f"({W.name})*({F.name})")
+
+
+# method -> (virtlim detector, or None for the weighted colimit; raised when
+#            it finds nothing; whether the comparison must be bijective;
+#            failure detail)
+FLAT_ROUTES = {
+    "definitional": (None, None, True, "weighted colimit does not match the limit"),
+    "covering": ("weak_limit", "NoWeakLimit", False, "weak-limit comparison is not a regular epi"),
+    "multi": ("multilimit", "NoMultilimit", True, "multilimit comparison is not an isomorphism"),
+    "fc": ("fc_limit", None, False, "fc-family comparison is not a regular epi"),
+    "merge": ("multi_finite_limit", "NoMultiFiniteLimit", True, "multi-finite comparison is not an isomorphism"),
+}
+
+
+def flat_by_presheaves(method, F, bound=0):
+    """The ``FlatVerdict`` of the flatness route ``method`` (a key of
+    ``FLAT_ROUTES``) on ``F``, a ``SetFunctor`` or ``ConcreteFunctor``,
+    decided through presheaf objects: for each swept diagram, the composite
+    limit, the weighted colimit or the coproduct of the detected family,
+    and the comparison map into the limit are built as presheaves and
+    transformations with every check, and the comparison is tested
+    pointwise bijective or surjective."""
+    from catengine import errors, flatness as fl, presheaf as ps, virtlim as vl
+
+    detector, missing, bijective, detail = FLAT_ROUTES[method]
+    F = checked_concrete(F)
+    C, B = F.source, F.target_base
+    for diagram in vl.swept_diagrams(C, bound) if bound > 0 else vl.generating_diagrams(C):
+        v = vl.virtual_limit(C, diagram)
+        # legs(x): the element of F under x and the legs that map it into the limit
+        if detector is None:
+            source = weighted_colimit_by_presheaves(v.weight, F)
+            legs = lambda x: (x[2], x[1])  # noqa: E731
+        else:
+            found = getattr(vl, detector)(v)
+            if found is None:
+                raise getattr(errors, missing)(diagram.describe())
+            if detector == "weak_limit":
+                source, cone = F.objects[found[0]], found[1]
+                legs = lambda x: (x, cone.legs)  # noqa: E731
+            else:
+                source = _checked(ps.coproduct(B, [F.objects[c] for (c, _) in found]).apex)
+                legs = lambda x: (x[1], found[x[0]][1].legs)  # noqa: E731
+        lim = composite_limit_by_presheaves(F, diagram)
+        comps = []
+        for b in range(B.n_objects):
+            comp = {}
+            for x in source.values[b]:
+                u, through = legs(x)
+                comp[x] = tuple(F.morphisms[leg].components[b][u] for leg in through)
+            if detector is None and not set(comp.values()) <= set(lim.values[b]):
+                raise errors.ValidationError("internal: comparison map leaves the limit")
+            comps.append(comp)
+        comparison = ps.NatTransformation(source, lim, tuple(comps))
+        if not (comparison.is_pointwise_bijective() if bijective else comparison.is_pointwise_surjective()):
+            return fl.FlatVerdict(False, fl.FailingWeight(diagram.describe(), detail), method)
+    return fl.FlatVerdict(True, None, method)
+
+
+def preserves_limit_concrete(F, cone):
+    """``flatness.preserves_limit`` through presheaf objects: the comparison
+    from ``F(apex)`` into the checked pointwise limit of the composite, a
+    checked transformation, must be bijective."""
+    from catengine import presheaf as ps
+
+    conc = checked_concrete(F)
+    lim = composite_limit_by_presheaves(conc, cone.diagram)
+    comps = tuple(
+        {u: tuple(conc.morphisms[leg].components[b][u] for leg in cone.legs) for u in conc.objects[cone.apex].values[b]}
+        for b in range(conc.target_base.n_objects)
+    )
+    return ps.NatTransformation(conc.objects[cone.apex], lim, comps).is_pointwise_bijective()

@@ -289,9 +289,17 @@ def test_check_flat_rejects_malformed_functor_file(functor, tmp_path, capsys):
      "compose": ["1A"]},
     {"objects": [["A"]], "morphisms": [], "identities": {}},
     {"objects": ["A"], "morphisms": [{"id": "1A", "src": "A"}], "identities": {"A": "1A"}},
+    {"objects": "AB", "morphisms": [{"id": "1A", "src": "A", "tgt": "A"}, {"id": "1B", "src": "B", "tgt": "B"}],
+     "identities": {"A": "1A", "B": "1B"}},
+    {"name": ["x"], "objects": ["A"], "morphisms": [{"id": "1A", "src": "A", "tgt": "A"}], "identities": {"A": "1A"}},
+    {"objects": ["A"], "morphisms": {"id": "1A", "src": "A", "tgt": "A"}, "identities": {"A": "1A"}},
+    {"objects": ["A"], "morphisms": [{"id": "1A", "src": "A", "tgt": "A"}], "identities": [["A", "1A"]]},
+    {"objects": ["A"], "morphisms": [{"id": "1A", "src": "A", "tgt": "A"}], "identities": {"A": "1A"}, "compose": "x"},
+    ["A"],
 ])
 def test_malformed_category_file_exit_two(category, tmp_path, capsys):
-    # the first three once escaped as a TypeError traceback with exit 1
+    # the first three once escaped as a TypeError traceback with exit 1; the
+    # next two were read as objects A and B and as a category named ['x']
     f = tmp_path / "bad.json"
     f.write_text(json.dumps(category))
     code = cli.main(["analyze-limits", str(f), "--mode", "weak"])
@@ -315,3 +323,46 @@ def test_poly_completion_file_rejected(run, tmp_path, capsys):
     comp.write_text(json.dumps(data))
     code = cli.main(["verify-axioms", "--completion", str(comp)])
     assert code == 2 and capsys.readouterr().err == "input error: unknown flavor 'poly'\n"
+
+
+@pytest.mark.parametrize("path, value", [
+    (("objects", 0, "values"), 5),
+    (("bounds",), [24, 64]),
+    (("objects", 0), "M0"),
+    (("objects", 0, "actions", 0), [["0"]]),
+    (("saturated",), "yes"),
+])
+def test_malformed_completion_file_exit_two(path, value, run, tmp_path, capsys):
+    # the first three once ended in a TypeError or AttributeError traceback
+    comp = tmp_path / "lext.json"
+    assert run("build-completion", "--category", "ARROW", "--flavor", "lext", "--out", str(comp))[0] == 0
+    data = json.loads(comp.read_text())
+    *parents, last = path
+    target = data
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    comp.write_text(json.dumps(data))
+    code = cli.main(["verify-axioms", "--completion", str(comp)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("input error: completion ") and "Traceback" not in captured.err
+
+
+def test_every_completion_file_loads(run, tmp_path):
+    from catengine import completions as cp
+
+    comp = tmp_path / "out.json"
+    loaded = 0
+    for category in ("ONE", "ARROW", "DISC2"):
+        for flavor in cp.FLAVORS:
+            for construction in ("close", "direct"):
+                argv = ["--category", category, "--flavor", flavor, "--construction", construction]
+                if run("build-completion", *argv, "--out", str(comp))[0] != 0:
+                    continue  # DISC2 is not weakly lex, so it has no direct regular build
+                data = json.loads(comp.read_text())
+                E = cp.completion_from_json(data)
+                assert [M.name for M in E.objects] == [o["name"] for o in data["objects"]]
+                assert (E.flavor, E.saturated, E.bounds.to_json()) == (flavor, data["saturated"], data["bounds"])
+                loaded += 1
+    assert loaded == 35

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import collections
+import hashlib
 import itertools
+import json
 
 import pytest
 
@@ -233,6 +236,48 @@ def test_span_composition_revalidated(cats):
     Z2 = cats["Z2"]
     frac = lz.fractions(lz.validate_congruence(Z2, range(2), "pullback"))
     frac.category.check()
+
+
+def _fractions_record(frac) -> list:
+    K = frac.category
+    return [K.objects, K.morphisms, K.src, K.tgt, K.identity, K.table, frac.classes, frac.projection.morphism_map]
+
+
+# sha256 of every fractions result below; unchanged since each call started
+# to look up each pullback once
+FRACTIONS_DIGEST = "35a23d69b28cc8f471e6d70865a496f922b758c62e6f07a6bb8b6c5baf198033"
+
+
+def test_fractions_looks_up_each_pullback_once(cats, monkeypatch):
+    # every pullback congruence of every corpus category: one fractions call
+    # asks for the pullback of each cospan (f, t) at most once, and the
+    # localized categories, classes and projections are pinned
+    calls = collections.Counter()
+    pullback_in_category = lz.pullback_in_category
+
+    def counted(host, f, t):
+        calls[f, t] += 1
+        return pullback_in_category(host, f, t)
+
+    record, congruences = {}, 0
+    for name, C in cats.items():
+        others = [m for m in range(C.n_morphisms) if m not in C.isos()]
+        rows = []
+        for r in range(len(others) + 1):
+            for extra in itertools.combinations(others, r):
+                try:
+                    cong = lz.validate_congruence(C, C.isos() | set(extra), "pullback")
+                except NotCongruence:
+                    continue
+                calls.clear()
+                monkeypatch.setattr(lz, "pullback_in_category", counted)
+                rows.append(_fractions_record(lz.fractions(cong)))
+                monkeypatch.setattr(lz, "pullback_in_category", pullback_in_category)
+                assert calls and max(calls.values()) == 1, (name, extra)
+                congruences += 1
+        record[name] = rows
+    digest = hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
+    assert congruences == 12 and digest == FRACTIONS_DIGEST
 
 
 from hypothesis import given, settings, strategies as st

@@ -1,5 +1,5 @@
-"""Time the engine's backtracking searches and two cold-host layers in two
-source trees, side by side.
+"""Time the engine's backtracking searches, two cold-host layers and the
+flatness routes in two source trees, side by side.
 
     python tools/searchbench.py OLD_SRC NEW_SRC [--rounds 15]
 
@@ -39,6 +39,15 @@ about its limits, as every perfbench universal-search job is:
   generating diagrams on at most two objects, so ``preserves_limit`` runs
   once per functor and cone.
 
+One more times the flatness routes as the flat census asks them:
+
+- ``flatness_routes``: ``is_flat`` and the four structural routes at sweep
+  bound 1 on every set functor of every corpus category up to the census
+  value bound (3 on ONE, ARROW, DISC2 and Z2, else 2), enumerated afresh in
+  each run as a census job does, and on the pretopos inclusion of every
+  corpus category, copied afresh in each run; each verdict is reduced to its
+  ``to_json()``, or to the error a route raises when its limits are missing.
+
 Inputs are built outside the timed region.  Each workload's outputs,
 reduced to plain tuples, must be equal on both sides, or the run stops;
 that first run also warms both sides and sets how often one timed sample
@@ -49,6 +58,7 @@ side and the ratio new / old per workload (below 1: the new tree is faster).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import importlib
 import itertools
 import math
@@ -69,7 +79,8 @@ def load(src: str, side: str, into: Path):
     name = f"catengine_{side}"
     shutil.copytree(Path(src) / "catengine", into / name, ignore=shutil.ignore_patterns("__pycache__"))
     return {mod: importlib.import_module(f"{name}.{mod}")
-            for mod in ("completions", "corpus", "errors", "fincat", "localize", "presheaf", "ultra", "virtlim")}
+            for mod in ("completions", "corpus", "errors", "fincat", "flatness", "localize", "presheaf", "ultra",
+                        "virtlim")}
 
 
 def _presheaves(ps, C):
@@ -212,6 +223,30 @@ def sketch_run(pkg, inputs):
     return [tuple(lz.is_sketch_model(sk, F) for F in functors) for sk, functors in inputs]
 
 
+def flatness_setup(pkg):
+    cats = pkg["corpus"].all_categories()
+    census = [(C, 3 if name in ("ONE", "ARROW", "DISC2", "Z2") else 2) for name, C in cats.items()]
+    return census, [pkg["completions"].direct_pretopos(C).inclusion_concrete() for C in cats.values()]
+
+
+def flatness_run(pkg, inputs):
+    fl, ps, errors = pkg["flatness"], pkg["presheaf"], pkg["errors"]
+    census, inclusions = inputs
+    routes = (fl.is_flat, fl.left_covering, fl.finitely_multicontinuous, fl.fc_continuous, fl.merges_multi_finite)
+    missing = (errors.NoWeakLimit, errors.NoMultilimit, errors.NoMultiFiniteLimit)
+    # fresh functors in every run, so that nothing one run keeps on them serves the next
+    functors = [F for C, vb in census for F in ps.enumerate_set_functors(C, vb)]
+    functors += [dataclasses.replace(K, check=False) for K in inclusions]
+    out = []
+    for F in functors:
+        for route in routes:
+            try:
+                out.append(route(F, bound=1).to_json())
+            except missing as exc:
+                out.append(f"{type(exc).__name__}: {exc}")
+    return out
+
+
 WORKLOADS = {
     "cones": (cones_setup, cones_run),
     "find_iso": (pairs_setup, find_iso_run),
@@ -220,6 +255,7 @@ WORKLOADS = {
     "functors": (functors_setup, functors_run),
     "virtual_limits": (virtual_limits_setup, virtual_limits_run),
     "sketch_models": (sketch_setup, sketch_run),
+    "flatness_routes": (flatness_setup, flatness_run),
 }
 
 
@@ -250,10 +286,10 @@ def main(argv=None) -> int:
                     for _ in range(reps[w]):
                         run(pkgs[side], inputs[w, side])
                     times[w, side].append((time.perf_counter() - t0) / reps[w])
-    print(f"{'workload':<14} {'old_s':>9} {'new_s':>9} {'new/old':>8}   ({args.rounds} alternating rounds, medians)")
+    print(f"{'workload':<16} {'old_s':>9} {'new_s':>9} {'new/old':>8}   ({args.rounds} alternating rounds, medians)")
     for w in WORKLOADS:
         old, new = (statistics.median(times[w, side]) for side in SIDES)
-        print(f"{w:<14} {old:9.4f} {new:9.4f} {new / old:8.3f}")
+        print(f"{w:<16} {old:9.4f} {new:9.4f} {new / old:8.3f}")
     return 0
 
 
