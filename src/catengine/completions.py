@@ -10,6 +10,14 @@ presentations instead, so the two routes can be cross-checked.
 An object of a completion is an isomorphism class; one canonical
 representative presheaf is stored along with the construction step that
 produced it.
+
+Each closure operation (finite limits, images, quotients of equivalence
+relations, finite coproducts) is written once, as a listing of the
+constructions it closes a set of objects under.  ``close`` adds what a
+listing builds; ``verify_axioms`` checks that a completion holds all of it,
+so the battery tests closure under the builder's own constructions.  An
+equivalence relation is listed once, as the pair ``(p, q)`` with ``p <= q``:
+its transpose has the same quotient.
 """
 from __future__ import annotations
 
@@ -197,9 +205,9 @@ class ConcreteCompletion:
             "objects": [
                 {
                     "name": M.name,
-                    "values": [[repr(x) for x in M.values[a]] for a in range(self.base.n_objects)],
+                    "values": [[_text(x) for x in M.values[a]] for a in range(self.base.n_objects)],
                     "actions": [
-                        [[repr(x), repr(y)] for x, y in sorted(M.actions[f].items(), key=repr)]
+                        [[_text(x), _text(y)] for x, y in sorted(M.actions[f].items(), key=repr)]
                         for f in range(self.base.n_morphisms)
                     ],
                     "provenance": self.provenance[i].to_json(),
@@ -207,6 +215,11 @@ class ConcreteCompletion:
                 for i, M in enumerate(self.objects)
             ],
         }
+
+
+def _text(x) -> str:
+    """An element as written to a file: a loaded string as itself, else its repr."""
+    return x if isinstance(x, str) else repr(x)
 
 
 def _relabelled(M: ps.Presheaf, name: str) -> ps.Presheaf:
@@ -244,21 +257,119 @@ def _first_iso(objects: Sequence[ps.Presheaf], memo: dict, M: ps.Presheaf) -> tu
     return key, None
 
 
-def _unseen_equalizers(i: int, ts: Sequence[ps.NatTransformation], seen: set):
-    """The index pairs of ``ts`` whose equalizer is not in ``seen``, in order.
+# -- closure operations --------------------------------------------------------
+#
+# Each operation lists the constructions that close a set of objects under it,
+# one ``(key, make)`` at a time: ``key`` is a tuple of object and transformation
+# indices and ``make()`` builds the construction's presheaf.  ``close`` adds
+# what ``make`` builds and ``verify_axioms`` looks it up, so the two walk one
+# list.  ``homs(i, j, context)`` gives the transformations
+# ``objects[i] -> objects[j]`` (the builder caps them and notes ``context``
+# when it does); ``stop()`` is tested before each pair of objects and each
+# source object, where a full builder gives up.  Without a ``scope`` the
+# indices are a snapshot of ``objects`` taken when the listing starts (after
+# the terminal or initial object): what a consumer adds meanwhile waits for
+# the next pass.
 
-    An equalizer is keyed by its source index and, per fiber, the elements on
-    which the pair agrees: these fix it up to renaming elements in fiber
-    order, whatever the target.  Each yielded key is added to ``seen``.
+
+def _limits(C: FiniteCategory, objects, scope, homs, stop, seen: set):
+    """The terminal object ``()``, binary products ``(i, j)`` and equalizers
+    ``(i, j, p, q)`` of ``homs(i, j)[p]`` and ``[q]``.
+
+    An equalizer is keyed in ``seen`` by its source index and, per fiber, the
+    elements on which the pair agrees: these fix it up to renaming elements in
+    fiber order, whatever the target, so a repeat is not listed again.  A
+    repeat would be found again, or refused again by the same max_objects
+    event: a subobject of a stored object never trips max_fiber.
     """
-    for p, q in itertools.combinations(range(len(ts)), 2):
-        key = (i, tuple(
-            tuple(x for x in fiber if ts[p].components[a][x] == ts[q].components[a][x])
-            for a, fiber in enumerate(ts[p].source.values)
-        ))
-        if key not in seen:
-            seen.add(key)
-            yield p, q
+    yield (), lambda: ps.terminal_presheaf(C)
+    scope = range(len(objects)) if scope is None else scope
+    for i, j in itertools.combinations_with_replacement(scope, 2):
+        if stop():
+            return
+        yield (i, j), lambda M=objects[i], N=objects[j]: ps.product(C, [M, N]).apex
+    for i in scope:
+        if stop():
+            return
+        for j in scope:
+            ts = homs(i, j, f"equalizers M{i} => M{j}")
+            for p, q in itertools.combinations(range(len(ts)), 2):
+                agree = (i, tuple(
+                    tuple(x for x in fiber if ts[p].components[a][x] == ts[q].components[a][x])
+                    for a, fiber in enumerate(ts[p].source.values)
+                ))
+                if agree not in seen:
+                    seen.add(agree)
+                    yield (i, j, p, q), lambda t=ts[p], u=ts[q]: ps.equalizer(t, u).apex
+
+
+def _limit_detail(*key) -> str:
+    """A limit's provenance detail, which is also the battery's witness."""
+    if not key:
+        return "terminal"
+    return ("product M{} x M{}" if len(key) == 2 else "equalizer of M{} => M{} ({},{})").format(*key)
+
+
+def _images(objects, scope, homs, stop):
+    """The image ``(i, j, k)`` of ``homs(i, j)[k]``."""
+    scope = range(len(objects)) if scope is None else scope
+    for i in scope:
+        if stop():
+            return
+        for j in scope:
+            for k, t in enumerate(homs(i, j, f"images M{i} -> M{j}")):
+                yield (i, j, k), lambda t=t: ps.epi_mono_factorize(t)[0].target
+
+
+def _quotients(C: FiniteCategory, objects, scope, homs, stop):
+    """The quotient ``(i, j, p, q)`` of ``objects[j]`` by the pair
+    ``homs(i, j)[p]``, ``[q]`` with ``p <= q``, when that pair is an
+    equivalence relation."""
+    scope = range(len(objects)) if scope is None else scope
+    for i in scope:
+        if stop():
+            return
+        R = objects[i]
+        for j in scope:
+            ts = homs(i, j, f"relations M{i} => M{j}")
+            for p, q in itertools.combinations_with_replacement(range(len(ts)), 2):
+                r1, r2 = ts[p], ts[q]
+                if _is_internal_equivalence(R, objects[j], r1, r2):
+                    pairs = [
+                        (a, r1.components[a][x], r2.components[a][x])
+                        for a in range(C.n_objects)
+                        for x in R.values[a]
+                    ]
+                    yield (i, j, p, q), lambda M=objects[j], pairs=pairs: ps.quotient_presheaf(M, pairs)[0]
+
+
+def _coproducts(C: FiniteCategory, objects, scope, stop):
+    """The initial object ``()`` and binary coproducts ``(i, j)``."""
+    yield (), lambda: ps.initial_presheaf(C)
+    scope = range(len(objects)) if scope is None else scope
+    for i, j in itertools.combinations_with_replacement(scope, 2):
+        if stop():
+            return
+        yield (i, j), lambda M=objects[i], N=objects[j]: ps.coproduct(C, [M, N]).apex
+
+
+def _is_internal_equivalence(R: ps.Presheaf, M: ps.Presheaf, r1, r2) -> bool:
+    """Is the pair jointly monic with an equivalence relation as image?"""
+    for a in range(M.base.n_objects):
+        graph = [(r1.components[a][x], r2.components[a][x]) for x in R.values[a]]
+        if len(set(graph)) != len(graph):
+            return False
+        rel = set(graph)
+        elems = set(M.values[a])
+        if not all((x, x) in rel for x in elems):
+            return False
+        if not all((y, x) in rel for (x, y) in rel):
+            return False
+        if not all(
+            (x, z) in rel for (x, y) in rel for (y2, z) in rel if y == y2
+        ):
+            return False
+    return True
 
 
 class _Builder:
@@ -271,7 +382,6 @@ class _Builder:
         self.events: list[str] = []
         self._seen_events: set[str] = set()
         self._index: dict = {}  # exact structure -> stored index, see _first_iso
-        self._equalized: set = set()  # see _unseen_equalizers
 
     def full(self) -> bool:
         return len(self.objects) >= self.bounds.max_objects
@@ -305,9 +415,15 @@ class _Builder:
             return None
         return self.add(M, prov)
 
-    def bounded_homs(self, M: ps.Presheaf, N: ps.Presheaf, context: str) -> list[ps.NatTransformation]:
+    def take(self, kind: str, items, detail) -> None:
+        """Add what each ``(key, make)`` of ``items`` makes, as ``kind`` with
+        provenance detail ``detail(*key)``."""
+        for key, make in items:
+            self.guarded(make, Provenance(kind, detail(*key)))
+
+    def bounded_homs(self, i: int, j: int, context: str) -> list[ps.NatTransformation]:
         cap = self.bounds.hom_cap
-        ts = ps.hom_set(M, N, max_results=cap + 1)
+        ts = ps.hom_set(self.objects[i], self.objects[j], max_results=cap + 1)
         if len(ts) > cap:
             self.note(f"hom_cap at {context}")
             ts = ts[:cap]
@@ -316,87 +432,6 @@ class _Builder:
     def seed_representables(self):
         for a in range(self.base.n_objects):
             self.add(ps.yoneda(self.base, a), Provenance("representable", self.base.objects[a]))
-
-    def limit_step(self) -> bool:
-        C = self.base
-        before = len(self.objects)
-        self.guarded(lambda: ps.terminal_presheaf(C), Provenance("limit", "terminal"))
-        snapshot = list(enumerate(self.objects))
-        for (i, M), (j, N) in itertools.combinations_with_replacement(snapshot, 2):
-            if self.full():
-                break
-            self.guarded(
-                lambda M=M, N=N: ps.product(C, [M, N]).apex,
-                Provenance("limit", f"product M{i} x M{j}"),
-            )
-        for (i, M) in snapshot:
-            if self.full():
-                break
-            for (j, N) in snapshot:
-                ts = self.bounded_homs(M, N, f"equalizers M{i} => M{j}")
-                # a repeat would be found, or refused again by the same
-                # max_objects event: a subobject of M never trips max_fiber
-                for p, q in _unseen_equalizers(i, ts, self._equalized):
-                    self.guarded(
-                        lambda t=ts[p], u=ts[q]: ps.equalizer(t, u).apex,
-                        Provenance("limit", f"equalizer of M{i} => M{j} ({p},{q})"),
-                    )
-        return len(self.objects) > before
-
-    def colimit_step(self) -> bool:
-        before = len(self.objects)
-        flavor = self.flavor
-        if flavor in ("reg", "pret"):
-            self._image_step()
-        if flavor in ("ex", "pret"):
-            self._equivalence_quotient_step()
-        if flavor in ("lext", "pret"):
-            self._coproduct_step()
-        return len(self.objects) > before
-
-    def _image_step(self):
-        snapshot = list(enumerate(self.objects))
-        for (i, M) in snapshot:
-            if self.full():
-                break
-            for (j, N) in snapshot:
-                for k, t in enumerate(self.bounded_homs(M, N, f"images M{i} -> M{j}")):
-                    q, _ = ps.epi_mono_factorize(t)
-                    self.add(q.target, Provenance("image", f"M{i} -> M{j} ({k})"))
-
-    def _equivalence_quotient_step(self):
-        C = self.base
-        snapshot = list(enumerate(self.objects))
-        for (i, R) in snapshot:
-            if self.full():
-                break
-            for (j, M) in snapshot:
-                ts = self.bounded_homs(R, M, f"relations M{i} => M{j}")
-                for p, q in itertools.combinations_with_replacement(range(len(ts)), 2):
-                    r1, r2 = ts[p], ts[q]
-                    if not _is_internal_equivalence(R, M, r1, r2):
-                        continue
-                    pairs = [
-                        (a, r1.components[a][x], r2.components[a][x])
-                        for a in range(C.n_objects)
-                        for x in R.values[a]
-                    ]
-                    self.guarded(
-                        lambda M=M, pairs=pairs: ps.quotient_presheaf(M, pairs)[0],
-                        Provenance("quotient", f"M{j} by relation M{i} ({p},{q})"),
-                    )
-
-    def _coproduct_step(self):
-        C = self.base
-        self.guarded(lambda: ps.initial_presheaf(C), Provenance("coproduct", "empty"))
-        snapshot = list(enumerate(self.objects))
-        for (i, M), (j, N) in itertools.combinations_with_replacement(snapshot, 2):
-            if self.full():
-                break
-            self.guarded(
-                lambda M=M, N=N: ps.coproduct(C, [M, N]).apex,
-                Provenance("coproduct", f"M{i} + M{j}"),
-            )
 
     def finish(self, saturated: bool) -> ConcreteCompletion:
         # a builder that filled up may have stopped scanning early, so it
@@ -414,25 +449,6 @@ class _Builder:
         )
 
 
-def _is_internal_equivalence(R: ps.Presheaf, M: ps.Presheaf, r1, r2) -> bool:
-    """Is the pair jointly monic with an equivalence relation as image?"""
-    for a in range(M.base.n_objects):
-        graph = [(r1.components[a][x], r2.components[a][x]) for x in R.values[a]]
-        if len(set(graph)) != len(graph):
-            return False
-        rel = set(graph)
-        elems = set(M.values[a])
-        if not all((x, x) in rel for x in elems):
-            return False
-        if not all((y, x) in rel for (x, y) in rel):
-            return False
-        if not all(
-            (x, z) in rel for (x, y) in rel for (y2, z) in rel if y == y2
-        ):
-            return False
-    return True
-
-
 def close(base: FiniteCategory, flavor: str, bounds: Bounds = Bounds()) -> ConcreteCompletion:
     """Alternate finite-limit closure and flavor-colimit closure to a fixpoint.
 
@@ -446,14 +462,21 @@ def close(base: FiniteCategory, flavor: str, bounds: Bounds = Bounds()) -> Concr
         raise ValidationError(f"close() accepts flavors {FLAVORS[:-1]}")
     b = _Builder(base, flavor, bounds)
     b.seed_representables()
-    saturated = False
+    objects, homs, full = b.objects, b.bounded_homs, b.full
+    equalized: set = set()  # see _limits
     for _ in range(bounds.max_iterations):
-        grew_l = b.limit_step()
-        grew_c = b.colimit_step()
-        if not (grew_l or grew_c):
-            saturated = True
-            break
-    return b.finish(saturated)
+        before = len(objects)
+        b.take("limit", _limits(base, objects, None, homs, full, equalized), _limit_detail)
+        if flavor in ("reg", "pret"):
+            b.take("image", _images(objects, None, homs, full), "M{} -> M{} ({})".format)
+        if flavor in ("ex", "pret"):
+            b.take("quotient", _quotients(base, objects, None, homs, full), "M{1} by relation M{0} ({2},{3})".format)
+        if flavor in ("lext", "pret"):
+            b.take("coproduct", _coproducts(base, objects, None, full),
+                   lambda *key: "M{} + M{}".format(*key) if key else "empty")
+        if len(objects) == before:
+            return b.finish(True)
+    return b.finish(False)
 
 
 def direct_regular(base: FiniteCategory, bounds: Bounds = Bounds()) -> ConcreteCompletion:
@@ -607,129 +630,74 @@ def verify_axioms(E: ConcreteCompletion, scope: Optional[Sequence[int]] = None, 
 
     ``scope`` restricts the objects quantified over (so a bounded
     materialization is judged on the region it actually closed); defaults
-    to every object.  Each failed check carries a witness.  An equalizer
-    whose source and agreeing elements repeat an earlier one is skipped,
-    and each pair's coproduct is built once; neither changes a verdict or
-    a witness.
+    to every object.  Each failed check carries a witness.
+
+    Closure under limits, images, quotients of equivalence relations and
+    coproducts is checked on the constructions ``close`` adds, listed by the
+    same closure operations over ``scope``, with every transformation and
+    no stop; the first one missing from ``E`` is the witness.  Equivalence
+    relations are the pairs ``(p, q)`` with ``p <= q`` of one hom-set: a
+    relation and its transpose have the same quotient, so the first failing
+    pair with ``p <= q`` is also the first failing ordered pair, and the
+    witness names only the two objects.  Each pair's coproduct cocone is
+    built once for the disjointness and universality checks.
     """
     flavor = flavor or E.flavor
     scope = list(scope) if scope is not None else list(range(len(E.objects)))
     checks: dict[str, dict] = {}
     names = _FLAVOR_AXIOMS[flavor]
+    base, objects = E.base, E.objects
 
     def record(name, passed, witness=None):
         checks[name] = {"passed": passed, "witness": witness}
 
-    base = E.base
+    def first_missing(name, items, witness):
+        for key, make in items:
+            if E.find_object(make()) is None:
+                return record(name, False, witness(*key))
+        record(name, True)
+
+    def homs(i, j, _context):
+        return E.homs(i, j)
+
+    def never():
+        return False
 
     @functools.cache
     def coproduct(i: int, j: int) -> ps.PresheafCocone:
-        return ps.coproduct(base, [E.objects[i], E.objects[j]])
+        return ps.coproduct(base, [objects[i], objects[j]])
 
     if "limits" in names:
-        witness = None
-        if E.find_object(ps.terminal_presheaf(base)) is None:
-            witness = "terminal"
-        if witness is None:
-            for i, j in itertools.combinations_with_replacement(scope, 2):
-                pr = ps.product(base, [E.objects[i], E.objects[j]])
-                if E.find_object(pr.apex) is None:
-                    witness = f"product M{i} x M{j}"
-                    break
-        if witness is None:
-            equalized: set = set()  # a repeat of a found equalizer is found again
-            for i in scope:
-                for j in scope:
-                    ts = ps.hom_set(E.objects[i], E.objects[j])
-                    for p, q in _unseen_equalizers(i, ts, equalized):
-                        if E.find_object(ps.equalizer(ts[p], ts[q]).apex) is None:
-                            witness = f"equalizer of M{i} => M{j} ({p},{q})"
-                            break
-                    if witness:
-                        break
-                if witness:
-                    break
-        record("limits", witness is None, witness)
-
-    morphs = [
-        (i, j, t)
-        for i in scope
-        for j in scope
-        for t in E.homs(i, j)
-    ]
+        first_missing("limits", _limits(base, objects, scope, homs, never, set()), _limit_detail)
 
     if "regular_epi_stability" in names:
-        witness = None
-        epis = [(i, j, t) for (i, j, t) in morphs if t.is_pointwise_surjective()]
-        for (i, j, e) in epis:
-            for (i2, j2, g) in morphs:
-                if j2 != j:
-                    continue
-                pb = ps.pullback(e, g)
-                if E.find_object(pb.apex) is None:
-                    witness = f"pullback of epi M{i}->M{j} along M{i2}->M{j} missing"
-                    break
-                if not pb.legs[2].is_pointwise_surjective():
-                    witness = f"pulled-back epi M{i}->M{j} along M{i2}->M{j} not epi"
-                    break
-            if witness:
-                break
-        record("regular_epi_stability", witness is None, witness)
+        pullbacks = (
+            ((i, j, i2), lambda e=e, g=g: ps.pullback(e, g).apex)
+            for i in scope for j in scope for e in E.homs(i, j) if e.is_pointwise_surjective()
+            for i2 in scope for g in E.homs(i2, j)
+        )
+        first_missing("regular_epi_stability", pullbacks, "pullback of epi M{0}->M{1} along M{2}->M{1} missing".format)
 
     if "kernel_pair_quotients" in names:
-        witness = None
-        for (i, j, t) in morphs:
-            kp = ps.pullback(t, t)
-            if E.find_object(kp.apex) is None:
-                witness = f"kernel pair of M{i}->M{j} missing"
-                break
-            q, _ = ps.epi_mono_factorize(t)
-            if E.find_object(q.target) is None:
-                witness = f"coequalizer of the kernel pair of M{i}->M{j} missing"
-                break
-        record("kernel_pair_quotients", witness is None, witness)
+        def kernel_pairs():
+            for (i, j, k), image in _images(objects, scope, homs, never):
+                t = E.homs(i, j)[k]
+                yield (i, j, "kernel pair of"), lambda t=t: ps.pullback(t, t).apex
+                yield (i, j, "coequalizer of the kernel pair of"), image
+
+        first_missing("kernel_pair_quotients", kernel_pairs(), "{2} M{0}->M{1} missing".format)
 
     if "effective_equivalence_relations" in names:
-        witness = None
-        for (i, j, r1) in morphs:
-            for r2 in E.homs(i, j):
-                if not _is_internal_equivalence(E.objects[i], E.objects[j], r1, r2):
-                    continue
-                pairs = [
-                    (a, r1.components[a][x], r2.components[a][x])
-                    for a in range(base.n_objects)
-                    for x in E.objects[i].values[a]
-                ]
-                Q, qm = ps.quotient_presheaf(E.objects[j], pairs)
-                if E.find_object(Q) is None:
-                    witness = f"quotient of M{j} by M{i} missing"
-                    break
-                kp = ps.pullback(qm, qm)
-                graph = {
-                    a: {(r1.components[a][x], r2.components[a][x]) for x in E.objects[i].values[a]}
-                    for a in range(base.n_objects)
-                }
-                for a in range(base.n_objects):
-                    kp_rel = {(tup[0], tup[2]) for tup in kp.apex.values[a]}
-                    if kp_rel != graph[a]:
-                        witness = f"relation M{i} over M{j} is not its quotient's kernel pair"
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        record("effective_equivalence_relations", witness is None, witness)
+        first_missing(
+            "effective_equivalence_relations", _quotients(base, objects, scope, homs, never),
+            "quotient of M{1} by M{0} missing".format,
+        )
 
     if "coproducts" in names:
-        witness = None
-        if E.find_object(ps.initial_presheaf(base)) is None:
-            witness = "initial"
-        if witness is None:
-            for i, j in itertools.combinations_with_replacement(scope, 2):
-                if E.find_object(coproduct(i, j).apex) is None:
-                    witness = f"coproduct M{i} + M{j}"
-                    break
-        record("coproducts", witness is None, witness)
+        first_missing(
+            "coproducts", _coproducts(base, objects, scope, never),
+            lambda *key: "coproduct M{} + M{}".format(*key) if key else "initial",
+        )
 
     if "coproducts_disjoint" in names:
         witness = None

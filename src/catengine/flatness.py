@@ -15,9 +15,7 @@ is one fiber; a ``ConcreteFunctor`` has one per object of its target base
 (``_fibers``).  Comparison maps are always computed element by element,
 never inferred from cardinalities, and no presheaf is built for them.
 
-Functors are validated where they enter: a ``ConcreteFunctor`` given by a
-caller is checked in full.  Only ``from_set_functor`` builds one unchecked,
-from a validated ``SetFunctor``.
+Every ``ConcreteFunctor`` is checked in full on construction.
 """
 from __future__ import annotations
 
@@ -65,22 +63,16 @@ class FlatVerdict:
 
 @dataclass(frozen=True, eq=False)
 class ConcreteFunctor:
-    """A functor into a full subcategory of presheaves over ``target_base``.
-
-    The functor laws are checked on construction.  ``check=False`` is for
-    images of validated functors only (see ``from_set_functor``).
-    """
+    """A functor into a full subcategory of presheaves over ``target_base``;
+    the functor laws are checked on construction."""
 
     source: FiniteCategory
     target_base: FiniteCategory
     objects: tuple[ps.Presheaf, ...]
     morphisms: tuple[ps.NatTransformation, ...]
     name: str = field(default="F", compare=False)
-    check: bool = field(default=True, compare=False)
 
     def __post_init__(self):
-        if not self.check:
-            return
         ps.check_functor_laws(self.source, self.objects, self.morphisms, "functor")
         base = self.objects[0].base if self.objects else self.target_base
         if base != self.target_base:
@@ -88,9 +80,7 @@ class ConcreteFunctor:
 
     @classmethod
     def from_set_functor(cls, F: ps.SetFunctor) -> "ConcreteFunctor":
-        """The same functor into presheaves on the point, not re-validated:
-        a ``SetFunctor`` has already proved the identity and composition
-        laws that ``__post_init__`` would check again."""
+        """The same functor into presheaves on the point."""
         objs = tuple(
             ps.Presheaf(POINT_BASE, (F.values[a],), ({x: x for x in F.values[a]},),
                         name=f"{F.name}({F.base.objects[a]})", check=False)
@@ -100,7 +90,7 @@ class ConcreteFunctor:
             ps.NatTransformation(objs[F.base.src[m]], objs[F.base.tgt[m]], (dict(F.actions[m]),), check=False)
             for m in range(F.base.n_morphisms)
         )
-        return cls(F.base, POINT_BASE, objs, mors, name=F.name, check=False)
+        return cls(F.base, POINT_BASE, objs, mors, name=F.name)
 
 
 def _fibers(F) -> tuple[FiniteCategory, list[tuple[Sequence, Sequence[dict]]]]:

@@ -44,8 +44,8 @@ def _check_tables(F, covariant: bool, kind: str) -> None:
     if check and (len(values) != C.n_objects or len(actions) != n):
         raise ValidationError(f"{kind} tables sized wrong")
     for fiber in values:
-        if len(fiber) > F.cap:
-            raise FiberCapExceeded(len(fiber), F.cap, f"in {kind} {F.name}")
+        if len(fiber) > FIBER_CAP:
+            raise FiberCapExceeded(len(fiber), FIBER_CAP, f"in {kind} {F.name}")
         if check and len(set(fiber)) != len(fiber):
             raise ValidationError(f"duplicate elements in a value set in {kind} {F.name}")
     if not check:
@@ -104,7 +104,6 @@ class Presheaf(_SetTables):
     """
 
     name: str = field(default="M", compare=False)
-    cap: int = field(default=FIBER_CAP, compare=False)
     check: bool = field(default=True, compare=False)
 
     def __post_init__(self):
@@ -120,7 +119,6 @@ class SetFunctor(_SetTables):
     """
 
     name: str = field(default="F", compare=False)
-    cap: int = field(default=FIBER_CAP, compare=False)
     check: bool = field(default=True, compare=False)
 
     def __post_init__(self):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import signal
 import subprocess
 import sys
 
@@ -74,6 +75,42 @@ def test_fam_battery_exit_codes(run):
     code2, out2 = run("verify-axioms", "--category", "PAR", "--flavor", "fam_f")
     assert code2 == 1
     assert json.loads(out2)["checks"]["limits"]["witness"] == "terminal"
+
+
+# exit code and witnesses of batteries at default bounds that once listed
+# every morphism of the completion before their first check, for minutes
+ENDED_RUNAWAYS = {
+    "PAR none": (1, {"limits": "product M0 x M23"}),
+    "PAR lext": (1, {
+        "limits": "product M0 x M23", "coproducts": "coproduct M0 + M10",
+        "coproducts_universal": "pullback of injection 0 of M0+M0 along M21->M3 missing",
+    }),
+    "ONE lext": (3, "bound exceeded: value set of size 65 exceeds cap 64 in presheaf M0+M22\n"),
+    "Z2 lext": (3, "bound exceeded: value set of size 72 exceeds cap 64 in presheaf M12+M21\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ENDED_RUNAWAYS))
+def test_default_bound_batteries_end(case, capsys):
+    def timeout(signum, frame):
+        raise TimeoutError(f"verify-axioms {case} still runs after 20 s")
+
+    name, flavor = case.split()
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(20)
+    try:
+        code = cli.main(["verify-axioms", "--category", name, "--flavor", flavor])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    captured = capsys.readouterr()
+    expected_code, witnesses = ENDED_RUNAWAYS[case]
+    assert code == expected_code
+    if code == 3:
+        assert captured.err == witnesses
+    else:
+        checks = json.loads(captured.out)["checks"]
+        assert {n: c["witness"] for n, c in checks.items() if not c["passed"]} == witnesses
 
 
 def test_ultraproduct_command(run):

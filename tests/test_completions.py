@@ -213,6 +213,25 @@ def test_completion_serialization_roundtrip(cats):
     assert E2.saturated == E.saturated
 
 
+def test_completion_file_survives_load_and_save(cats, weakly_lex_names):
+    # the builds of `build-completion`: reg/direct, pret/direct, lext/close
+    # and fam_f at default bounds; a loaded value is a string and is saved
+    # as itself, not quoted again
+    import json
+
+    bounds = cp.Bounds()
+    saved = 0
+    for name, C in cats.items():
+        builds = [cp.direct_pretopos(C, bounds), cp.close(C, "lext", bounds), cp.fam_f(C, bounds.max_arity + 1, bounds)]
+        if name in weakly_lex_names:
+            builds.append(cp.direct_regular(C, bounds))
+        for E in builds:
+            data = json.loads(json.dumps(E.to_json()))
+            assert cp.completion_from_json(data).to_json() == data, (name, E.flavor)
+            saved += 1
+    assert saved == 24
+
+
 def test_close_pret_contains_direct_pretopos_on_par(cats):
     PAR = cats["PAR"]
     direct = cp.direct_pretopos(PAR, cp.Bounds(max_arity=2))
@@ -353,16 +372,80 @@ CLI_DIGESTS = {
     "build-completion SPLIT lext/close": "6bd061a52e39ca04adb8d5ffbb0c353606125eb8b95d1b58b4098b5deb3de224",
     "build-completion SPLIT fam_f/direct": "83f17d5cee7b280d166fb54c110ee36f68a6ceb5fd4f6956a55db6627e28dd0c",
     "verify-axioms SPLIT fam_f": "a47b796b03c989d0db075d7c4b856c615cb7ba742e2d7b2161a4461d1a35d14f",
+    # the battery and the closure of every other flavour at small bounds
+    # (each case that took under 2 s), computed before the two listed the
+    # closure operations' constructions once: together they give a witness
+    # for every closure check of the battery
+    "verify-axioms ONE none max_objects=12,max_iterations=2": "3e06c24b73e030e6d45f3baaa34997b28bd06cfbc404f4bbceefedac6f2a8b3f",
+    "build-completion ONE none/close max_objects=12,max_iterations=2": "ee8890cc7b6075e34d8db44ed331ed99b197f46fcc87d2e129b91d771f69f5ba",
+    "verify-axioms ONE reg max_objects=12,max_iterations=2": "6c1400413c18555e5db86166e8923ec720dac7e0937e743ff11b895a4babfa0e",
+    "build-completion ONE reg/close max_objects=12,max_iterations=2": "74cc4e5ed143dde09b6eac1e583b4e42adceee85ac7a00cf3ea1dae506494f30",
+    "verify-axioms ONE ex max_objects=12,max_iterations=2": "a69159ba64dba322aac74823f84545617d94f15577e726fbb782879ec752a4de",
+    "build-completion ONE ex/close max_objects=12,max_iterations=2": "ffefc9b60a90895ea102a82df87196f83321a292337c8fdbffae43e1b4daa148",
+    "build-completion ONE lext/close max_objects=12,max_iterations=2": "6c9203ee65d727baa526a5aa8226c00324bf0df3d13a5d187e7a6f96ce980a50",
+    "build-completion ONE pret/close max_objects=12,max_iterations=2": "5d81d536bc92ff98128fa3d9ec9104c8fc99ebb445ad102843d7c131cf95609b",
+    "verify-axioms ARROW none max_objects=12,max_iterations=2": "27725e8e7b6d0f76dbdaa28bb892518d2bc10dd2397276f0515f0054cc4d2adb",
+    "build-completion ARROW none/close max_objects=12,max_iterations=2": "4849feb70891c771e93aad8863808016a50e901705481a8cf17d8b5ef67b04f1",
+    "verify-axioms ARROW reg max_objects=12,max_iterations=2": "94ee3b9b39791e27f0e9e35e0382bd980eae87fbb2c4f97078eb1a22f64d0477",
+    "build-completion ARROW reg/close max_objects=12,max_iterations=2": "a84628411e8eb240b4a83f8bda7c0f36f36d7e7dd05e64ff1a39a9da91304efd",
+    "verify-axioms ARROW ex max_objects=12,max_iterations=2": "a9f5293f80d19edbf0001ee51c8c09caddc519d039cdb246d66017e75ed8e391",
+    "build-completion ARROW ex/close max_objects=12,max_iterations=2": "dd5b40de9acc3f24c12403461d0f1f7f84e60da9cb46c3b24af734afe6c1c79c",
+    "verify-axioms ARROW lext max_objects=12,max_iterations=2": "8f49419518463d11c963ebfa05a224f3fa864897c45b8c3564f93e61d6046ccb",
+    "build-completion ARROW lext/close max_objects=12,max_iterations=2": "0801079c5ba67c94eba53710446568dd0d7ff7298fe6e7680e8d373d8d41c01f",
+    "verify-axioms ARROW pret max_objects=12,max_iterations=2": "13fc31ab3e07ef22b2c589e63b2e9c64803226aa45c97cb4402eb3ebdab14128",
+    "build-completion ARROW pret/close max_objects=12,max_iterations=2": "3f826fa4ae486f0282e02c33479e5f275e0cd27c7e5ff2b10efa800c56535057",
+    "build-completion PAR none/close max_objects=12,max_iterations=2": "480c119b89feefac1e615ec1c30aa3fc198490a38150e47250e94489250a82fc",
+    "build-completion PAR reg/close max_objects=12,max_iterations=2": "87d3f468b1a3414cfb5558b93f5177cd70110edc6d46f6d5d659c7efc6a2fb12",
+    "verify-axioms PAR lext max_objects=12,max_iterations=2": "5aa30a8ac294780eef2f833d07ddffcb8d80b5034cb01d1b0dd1fc4c369b71a9",
+    "build-completion PAR lext/close max_objects=12,max_iterations=2": "90ec98a3df69e32abd3f2811ade7f588c407ab99180957bcf7f9bc4ea9f96f5d",
+    "verify-axioms PAR pret max_objects=12,max_iterations=2": "8b845a78fed413ae4621c59535a6b46f517501094c0c8fcb700706bcd67f46c2",
+    "build-completion PAR pret/close max_objects=12,max_iterations=2": "81a9599e02632056ad33f8194ae6021c916b6ef576b33a4ede3aea485ba20f60",
+    "verify-axioms DISC2 none max_objects=12,max_iterations=2": "0d812050046f7a041cf6dfb29361de6cc9f984dd97bb15df1aded23e4b0a060a",
+    "build-completion DISC2 none/close max_objects=12,max_iterations=2": "51167b7ad46a7b9f01b4cce99a8ab983fbc68d03ce259c9c4dc5a3e8161231df",
+    "verify-axioms DISC2 reg max_objects=12,max_iterations=2": "0113315ffa5905958afc1225deb2e0bb3102c1614495335886f10fe65b380839",
+    "build-completion DISC2 reg/close max_objects=12,max_iterations=2": "13d7c52c14334f824c3a045e1697b64312b08722e027b05bc52a89cca7ca731b",
+    "verify-axioms DISC2 ex max_objects=12,max_iterations=2": "b12d45743ccea36f0c0cf2635a22a7799f977bbab2d9303526f9af5ef8ac8433",
+    "build-completion DISC2 ex/close max_objects=12,max_iterations=2": "70351124d9834ddc4fc7b8af2467f85907ff19d1cbb154c00ef0d8ea2ae0b5a2",
+    "verify-axioms DISC2 lext max_objects=12,max_iterations=2": "8e9b11b413bedd80da5495b69755ecdc60012f5fb2e51ad42b0d3db821617a76",
+    "build-completion DISC2 lext/close max_objects=12,max_iterations=2": "ab721c3bb08625320bfbad7be99da85ab8ee20cbc3fd00cad136f235ddfd251c",
+    "build-completion DISC2 pret/close max_objects=12,max_iterations=2": "a8256fa1d4e0c4290899a3d90fdb44d2ab63536dc5c8a0a0e4f6a3984ed2381a",
+    "build-completion Z2 none/close max_objects=12,max_iterations=2": "b3490f04a16d7557de287286e3b819734797420146d70d5b826e7a06045c20a1",
+    "build-completion Z2 reg/close max_objects=12,max_iterations=2": "635cfe63cc497d7c99d1425435734e0bf32223a1e6d91a450514e2e8d138c6d1",
+    "build-completion Z2 ex/close max_objects=12,max_iterations=2": "e3621015b38b45f1d912b769bd031d730ee5fc88dc7175bc311e92e472391e1c",
+    "build-completion Z2 lext/close max_objects=12,max_iterations=2": "bb13f5696a639548e747d471415bd4fa9430f15cba30d845b8189a33e235d71f",
+    "build-completion Z2 pret/close max_objects=12,max_iterations=2": "a387a02e82d51a3085b55743623caac8d0ca4d5cea6e74350a94fac40c5fc152",
+    "verify-axioms CHAIN3 none max_objects=12,max_iterations=2": "da13ab16f23f86ba40912fd0426e721ed67d0685417d25259f9f7f32940e7444",
+    "build-completion CHAIN3 none/close max_objects=12,max_iterations=2": "9f75fe8a6a35859ddb4cffed7482838c1bcb945dea497fc0826bd7aac885caef",
+    "verify-axioms CHAIN3 reg max_objects=12,max_iterations=2": "c5acfb9632ae907821e82db1eac4b5f5eb13c43ece6a82814c54b01549590ed3",
+    "build-completion CHAIN3 reg/close max_objects=12,max_iterations=2": "58c946464d9804b9cef13b36011ed8be0c1e37a07714a57378ffe7478245a793",
+    "verify-axioms CHAIN3 ex max_objects=12,max_iterations=2": "9d228298ea954edb09221722de443dcfde11582c0df96574d5fe018ff2253c1b",
+    "build-completion CHAIN3 ex/close max_objects=12,max_iterations=2": "575a2d2ae90218e47ed5f333fcb05148ba9a6589ad2260cbf4e1330c86602361",
+    "verify-axioms CHAIN3 lext max_objects=12,max_iterations=2": "d970d2fc6ec7b451699ec83cb98ba696db9fcfc0d5086775a19e41d9c67076a5",
+    "build-completion CHAIN3 lext/close max_objects=12,max_iterations=2": "2dcb8cb94967787e80881332b3a7a77df40200ad5672380c2583ef7698304352",
+    "verify-axioms CHAIN3 pret max_objects=12,max_iterations=2": "114a1e3020af00f45fe393a0ca7835220de2ef55d34f0f5e1d76820d5df32254",
+    "build-completion CHAIN3 pret/close max_objects=12,max_iterations=2": "7265df09b7e79b1f0206760d7aafcec9035e020b673e8cbbd6a88bbf5b65a0ff",
+    "verify-axioms SPLIT none max_objects=12,max_iterations=2": "f9231d0f30f9f511a5c305f06a04ba87348509d2a62c62dd3fa59a82b8f353e4",
+    "build-completion SPLIT none/close max_objects=12,max_iterations=2": "bd4b12d2fc118f73380f522c8c0e2d4b34f7dcc640acec2b968ba595c3a38ecf",
+    "verify-axioms SPLIT reg max_objects=12,max_iterations=2": "a681ef7d261540bc09d5dace746a18e3d1869948af7cb3ef41f0c2fb4de801eb",
+    "build-completion SPLIT reg/close max_objects=12,max_iterations=2": "049f225ee455b95d409902f150b37361ba0906cf8f8828dfe412e35ce4b94ada",
+    "verify-axioms SPLIT ex max_objects=12,max_iterations=2": "83be1c3170b9fa4533b5e1c43c5fff5dab8d21c517d633263df703fd0d732d2a",
+    "build-completion SPLIT ex/close max_objects=12,max_iterations=2": "76a725263d4de2637e5df5f0612038a5ca58b4dc46bc9225d5c3c5afb9253b8a",
+    "verify-axioms SPLIT lext max_objects=12,max_iterations=2": "2e176e83b9125ddc233935c0df3847e0c88c1f6ef70699b56dd690aefeaf9086",
+    "build-completion SPLIT lext/close max_objects=12,max_iterations=2": "38c8cbefc3bd18baa1bad346b2dd02256f0052496033721c6b276103e7c49eb5",
+    "verify-axioms SPLIT pret max_objects=12,max_iterations=2": "ee3643e6e3f3542434c020b7f1c0ef5497bbbce4c81ac28fb34b5bf845472782",
+    "build-completion SPLIT pret/close max_objects=12,max_iterations=2": "4aefc9e31e3aaff8e8c4b664e6b651bbd971d0df1ca5f9f2c95b753cf5fba6ae",
 }
 
 
 @pytest.mark.parametrize("case", sorted(CLI_DIGESTS))
 def test_cli_completion_reports_pinned(case, capsys):
-    command, name, construction = case.split()
+    command, name, construction, *bounds = case.split()
     flavor, _, construction = construction.partition("/")
     argv = [command, "--category", name, "--flavor", flavor]
     if construction:
         argv += ["--construction", construction]
+    if bounds:
+        argv += ["--bounds", *bounds]
     code = cli.main(argv)
     out = capsys.readouterr().out
     assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == CLI_DIGESTS[case]

@@ -1,5 +1,6 @@
-"""Time the engine's backtracking searches, two cold-host layers and the
-flatness routes in two source trees, side by side.
+"""Time the engine's backtracking searches, two cold-host layers, the
+flatness routes and the completions' closure in two source trees, side by
+side.
 
     python tools/searchbench.py OLD_SRC NEW_SRC [--rounds 15]
 
@@ -47,6 +48,15 @@ One more times the flatness routes as the flat census asks them:
   each run as a census job does, and on the pretopos inclusion of every
   corpus category, copied afresh in each run; each verdict is reduced to its
   ``to_json()``, or to the error a route raises when its limits are missing.
+
+One more times the free completions' closure and their axiom batteries:
+
+- ``completion_closure``: ``close`` for every corpus category and flavour
+  but ``fam_f`` at ``max_objects=12, max_iterations=2``, ``verify_axioms``
+  on each result, and the ``fam_f`` battery of every corpus category on the
+  scope that ``verify-axioms`` gives it, each reduced to its ``to_json()``;
+  the cases in ``SLOW_BUILDS`` and ``SLOW_BATTERIES`` take over 2 s in
+  some tree and are left out.
 
 Inputs are built outside the timed region.  Each workload's outputs,
 reduced to plain tuples, must be equal on both sides, or the run stops;
@@ -236,7 +246,7 @@ def flatness_run(pkg, inputs):
     missing = (errors.NoWeakLimit, errors.NoMultilimit, errors.NoMultiFiniteLimit)
     # fresh functors in every run, so that nothing one run keeps on them serves the next
     functors = [F for C, vb in census for F in ps.enumerate_set_functors(C, vb)]
-    functors += [dataclasses.replace(K, check=False) for K in inclusions]
+    functors += [dataclasses.replace(K) for K in inclusions]
     out = []
     for F in functors:
         for route in routes:
@@ -244,6 +254,38 @@ def flatness_run(pkg, inputs):
                 out.append(route(F, bound=1).to_json())
             except missing as exc:
                 out.append(f"{type(exc).__name__}: {exc}")
+    return out
+
+
+CLOSURE_FLAVORS = ("none", "reg", "ex", "lext", "pret")
+# a build and the batteries that ran for seconds to minutes while the
+# battery listed every morphism of the completion before its first check
+SLOW_BUILDS = {"PAR ex"}
+SLOW_BATTERIES = SLOW_BUILDS | {"ONE lext", "ONE pret", "PAR none", "PAR reg", "DISC2 pret",
+                                "Z2 none", "Z2 reg", "Z2 ex", "Z2 lext", "Z2 pret"}
+
+
+def closure_setup(pkg):
+    return pkg["corpus"].all_categories(), pkg["completions"].Bounds(max_objects=12, max_iterations=2)
+
+
+def closure_run(pkg, inputs):
+    cp = pkg["completions"]
+    cats, bounds = inputs
+    out = []
+    for name, C in cats.items():
+        for flavor in CLOSURE_FLAVORS:
+            case = f"{name} {flavor}"
+            if case in SLOW_BUILDS:
+                continue
+            E = cp.close(C, flavor, bounds)
+            out.append(E.to_json())
+            if case not in SLOW_BATTERIES:
+                out.append(cp.verify_axioms(E).to_json())
+        E = cp.fam_f(C, 2 * bounds.max_arity, bounds)
+        scope = [i for i, p in enumerate(E.provenance)
+                 if p.detail == "(empty)" or len(p.detail.split(",")) <= bounds.max_arity]
+        out.append(cp.verify_axioms(E, scope=scope).to_json())
     return out
 
 
@@ -256,6 +298,7 @@ WORKLOADS = {
     "virtual_limits": (virtual_limits_setup, virtual_limits_run),
     "sketch_models": (sketch_setup, sketch_run),
     "flatness_routes": (flatness_setup, flatness_run),
+    "completion_closure": (closure_setup, closure_run),
 }
 
 
@@ -286,10 +329,10 @@ def main(argv=None) -> int:
                     for _ in range(reps[w]):
                         run(pkgs[side], inputs[w, side])
                     times[w, side].append((time.perf_counter() - t0) / reps[w])
-    print(f"{'workload':<16} {'old_s':>9} {'new_s':>9} {'new/old':>8}   ({args.rounds} alternating rounds, medians)")
+    print(f"{'workload':<18} {'old_s':>9} {'new_s':>9} {'new/old':>8}   ({args.rounds} alternating rounds, medians)")
     for w in WORKLOADS:
         old, new = (statistics.median(times[w, side]) for side in SIDES)
-        print(f"{w:<16} {old:9.4f} {new:9.4f} {new / old:8.3f}")
+        print(f"{w:<18} {old:9.4f} {new:9.4f} {new / old:8.3f}")
     return 0
 
 
