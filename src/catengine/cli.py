@@ -33,26 +33,25 @@ from . import localize as lz
 EXIT_OK, EXIT_MATH, EXIT_INPUT, EXIT_BOUND = 0, 1, 2, 3
 
 
-def load_category(spec: str) -> fc.FiniteCategory:
+def load_category(spec: str, read=fc.validate_category) -> fc.FiniteCategory:
+    """A corpus name, or a file whose JSON ``read`` turns into a category."""
     if spec in corpus.NAMES:
         return corpus.load(spec)
     path = Path(spec)
     if not path.exists():
         raise ValidationError(f"no corpus category or file named {spec!r}")
-    return fc.validate_category(json.loads(path.read_text()))
+    return read(json.loads(path.read_text()))
 
 
 def load_host(spec: str) -> fc.FiniteCategory:
     """A corpus name, a category file, or a completion file as a category."""
-    if spec in corpus.NAMES:
-        return corpus.load(spec)
-    path = Path(spec)
-    if not path.exists():
-        raise ValidationError(f"no corpus category or file named {spec!r}")
-    data = json.loads(path.read_text())
-    if "flavor" in data and "objects" in data and "base" in data:
-        return cp.completion_from_json(data).as_category()
-    return fc.validate_category(data)
+
+    def read(data) -> fc.FiniteCategory:
+        if "flavor" in data and "objects" in data and "base" in data:
+            return cp.completion_from_json(data).as_category()
+        return fc.validate_category(data)
+
+    return load_category(spec, read)
 
 
 def _labels(xs) -> bool:
@@ -119,9 +118,7 @@ def emit_dot(cat: fc.FiniteCategory) -> str:
 
 
 def output(args, payload, text=None):
-    if args.format == "dot" and text is not None:
-        sys.stdout.write(text)
-    elif args.format == "text" and text is not None:
+    if args.format in ("dot", "text") and text is not None:
         sys.stdout.write(text)
     else:
         sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")

@@ -14,14 +14,15 @@ produced it.
 Each closure operation (finite limits, images, quotients of equivalence
 relations, finite coproducts) is written once, as a listing of the
 constructions it closes a set of objects under.  ``close`` adds what a
-listing builds; ``verify_axioms`` checks that a completion holds all of it,
-so the battery tests closure under the builder's own constructions.  An
-equivalence relation is listed once, as the pair ``(p, q)`` with ``p <= q``:
-its transpose has the same quotient.
+listing builds.  ``verify_axioms`` is one table from check names to
+listings and witness formats, walked by one loop that looks every listed
+construction up, so the battery tests closure under the builder's own
+constructions and lists its pullbacks the same way.  An equivalence
+relation is listed once, as the pair ``(p, q)`` with ``p <= q``: its
+transpose has the same quotient.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 from dataclasses import dataclass, field, replace
@@ -491,27 +492,16 @@ def direct_regular(base: FiniteCategory, bounds: Bounds = Bounds()) -> ConcreteC
     b = _Builder(base, "reg", bounds)
     b.seed_representables()
     for a in range(base.n_objects):
-        Ya = ps.yoneda(base, a)
+        # built outside the guard: it has the fibers of Y(a), which passed the fiber cap when seeded
+        Ya = ps.coproduct(base, [ps.yoneda(base, a)]).apex
         outs = [m for m in range(base.n_morphisms) if base.src[m] == a]
         for n in range(bounds.max_arity + 1):
             for hs in itertools.combinations_with_replacement(outs, n):
                 b.guarded(
-                    lambda a=a, hs=hs, Ya=Ya: _span_image(base, Ya, a, hs),
+                    lambda Ya=Ya, hs=hs: _matrix_image(base, Ya, [base.tgt[h] for h in hs], [hs]),
                     Provenance("image", f"{base.objects[a]} -> ({', '.join(base.morphisms[h] for h in hs)})"),
                 )
     return b.finish(True)
-
-
-def _span_image(base: FiniteCategory, Ya: ps.Presheaf, a: int, hs: Sequence[int]) -> ps.Presheaf:
-    targets = [ps.yoneda(base, base.tgt[h]) for h in hs]
-    pr = ps.product(base, targets)
-    comps = tuple(
-        {m: tuple(base.table[h][m] for h in hs) for m in Ya.values[x]}
-        for x in range(base.n_objects)
-    )
-    t = ps.NatTransformation(Ya, pr.apex, comps)
-    q, _ = ps.epi_mono_factorize(t)
-    return q.target
 
 
 def direct_pretopos(base: FiniteCategory, bounds: Bounds = Bounds()) -> ConcreteCompletion:
@@ -526,41 +516,32 @@ def direct_pretopos(base: FiniteCategory, bounds: Bounds = Bounds()) -> Concrete
         for sources in itertools.combinations_with_replacement(objs, k):
             for m in range(bounds.max_arity + 1):
                 for targets in itertools.combinations_with_replacement(objs, m):
-                    pools = [
-                        [(i, j, h) for h in base.hom(sources[i], targets[j])]
-                        for i in range(k)
-                        for j in range(m)
-                    ]
-                    if any(not pool for pool in pools):
-                        continue
-                    for matrix in itertools.product(*pools):
+                    rows = [itertools.product(*(base.hom(s, t) for t in targets)) for s in sources]
+                    for matrix in itertools.product(*rows):
                         b.guarded(
                             lambda sources=sources, targets=targets, matrix=matrix: _matrix_image(
-                                base, sources, targets, matrix
+                                base, ps.coproduct(base, [ps.yoneda(base, s) for s in sources]).apex, targets, matrix
                             ),
                             Provenance(
                                 "image",
                                 f"sum{[base.objects[s] for s in sources]} -> "
                                 f"prod{[base.objects[t] for t in targets]} via "
-                                f"{[base.morphisms[h] for (_, _, h) in matrix]}",
+                                f"{[base.morphisms[h] for row in matrix for h in row]}",
                             ),
                         )
     return b.finish(True)
 
 
-def _matrix_image(base, sources, targets, matrix) -> ps.Presheaf:
-    k, m = len(sources), len(targets)
-    h = {(i, j): hh for (i, j, hh) in matrix}
-    cp = ps.coproduct(base, [ps.yoneda(base, s) for s in sources])
+def _matrix_image(base, summed: ps.Presheaf, targets, matrix) -> ps.Presheaf:
+    """The image in the product of the representables at ``targets`` of the
+    map from ``summed``, a coproduct of representables, whose component from
+    summand ``i`` to factor ``j`` is the base morphism ``matrix[i][j]``."""
     pr = ps.product(base, [ps.yoneda(base, t) for t in targets])
-    comps = []
-    for x in range(base.n_objects):
-        comp = {}
-        for (i, mm) in cp.apex.values[x]:
-            comp[(i, mm)] = tuple(base.table[h[(i, j)]][mm] for j in range(m))
-        comps.append(comp)
-    t = ps.NatTransformation(cp.apex, pr.apex, tuple(comps))
-    q, _ = ps.epi_mono_factorize(t)
+    comps = tuple(
+        {(i, m): tuple(base.table[h][m] for h in matrix[i]) for (i, m) in summed.values[x]}
+        for x in range(base.n_objects)
+    )
+    q, _ = ps.epi_mono_factorize(ps.NatTransformation(summed, pr.apex, comps))
     return q.target
 
 
@@ -574,22 +555,6 @@ def fam_f(base: FiniteCategory, max_family: int = 3, bounds: Bounds = Bounds()) 
                 Provenance("family", ",".join(base.objects[a] for a in fam) or "(empty)"),
             )
     return b.finish(True)
-
-
-def family_homs(base: FiniteCategory, fam1: Sequence[int], fam2: Sequence[int]):
-    """Family-form morphisms: an index map plus one base morphism per index."""
-    out = []
-    if any(
-        all(not base.hom(a, b) for b in fam2) for a in fam1
-    ):
-        return out
-    for phi in itertools.product(range(len(fam2)), repeat=len(fam1)):
-        pools = [base.hom(fam1[i], fam2[phi[i]]) for i in range(len(fam1))]
-        if any(not p for p in pools):
-            continue
-        for fs in itertools.product(*pools):
-            out.append((phi, fs))
-    return out
 
 
 # -- axiom batteries -----------------------------------------------------------
@@ -632,30 +597,20 @@ def verify_axioms(E: ConcreteCompletion, scope: Optional[Sequence[int]] = None, 
     materialization is judged on the region it actually closed); defaults
     to every object.  Each failed check carries a witness.
 
-    Closure under limits, images, quotients of equivalence relations and
-    coproducts is checked on the constructions ``close`` adds, listed by the
-    same closure operations over ``scope``, with every transformation and
-    no stop; the first one missing from ``E`` is the witness.  Equivalence
-    relations are the pairs ``(p, q)`` with ``p <= q`` of one hom-set: a
-    relation and its transpose have the same quotient, so the first failing
-    pair with ``p <= q`` is also the first failing ordered pair, and the
-    witness names only the two objects.  Each pair's coproduct cocone is
-    built once for the disjointness and universality checks.
+    Every check lists the constructions it needs, as ``(key, make)`` pairs
+    over ``scope`` with every transformation and no stop, and passes when
+    ``E`` holds each one; the first one missing from ``E`` is the witness,
+    ``key`` formatted by the check's witness format.  Limits, quotients of
+    equivalence relations and coproducts are listed by the closure
+    operations ``close`` adds them with.  Equivalence relations are the
+    pairs ``(p, q)`` with ``p <= q`` of one hom-set: a relation and its
+    transpose have the same quotient, so the first failing pair with
+    ``p <= q`` is also the first failing ordered pair, and the witness
+    names only the two objects.
     """
     flavor = flavor or E.flavor
     scope = list(scope) if scope is not None else list(range(len(E.objects)))
-    checks: dict[str, dict] = {}
-    names = _FLAVOR_AXIOMS[flavor]
     base, objects = E.base, E.objects
-
-    def record(name, passed, witness=None):
-        checks[name] = {"passed": passed, "witness": witness}
-
-    def first_missing(name, items, witness):
-        for key, make in items:
-            if E.find_object(make()) is None:
-                return record(name, False, witness(*key))
-        record(name, True)
 
     def homs(i, j, _context):
         return E.homs(i, j)
@@ -663,87 +618,65 @@ def verify_axioms(E: ConcreteCompletion, scope: Optional[Sequence[int]] = None, 
     def never():
         return False
 
-    @functools.cache
-    def coproduct(i: int, j: int) -> ps.PresheafCocone:
-        return ps.coproduct(base, [objects[i], objects[j]])
-
-    if "limits" in names:
-        first_missing("limits", _limits(base, objects, scope, homs, never, set()), _limit_detail)
-
-    if "regular_epi_stability" in names:
-        pullbacks = (
+    def pullbacks():
+        return (
             ((i, j, i2), lambda e=e, g=g: ps.pullback(e, g).apex)
             for i in scope for j in scope for e in E.homs(i, j) if e.is_pointwise_surjective()
             for i2 in scope for g in E.homs(i2, j)
         )
-        first_missing("regular_epi_stability", pullbacks, "pullback of epi M{0}->M{1} along M{2}->M{1} missing".format)
 
-    if "kernel_pair_quotients" in names:
-        def kernel_pairs():
-            for (i, j, k), image in _images(objects, scope, homs, never):
-                t = E.homs(i, j)[k]
-                yield (i, j, "kernel pair of"), lambda t=t: ps.pullback(t, t).apex
-                yield (i, j, "coequalizer of the kernel pair of"), image
+    def kernel_pairs():
+        for (i, j, k), image in _images(objects, scope, homs, never):
+            t = E.homs(i, j)[k]
+            yield (i, j, "kernel pair of"), lambda t=t: ps.pullback(t, t).apex
+            yield (i, j, "coequalizer of the kernel pair of"), image
 
-        first_missing("kernel_pair_quotients", kernel_pairs(), "{2} M{0}->M{1} missing".format)
-
-    if "effective_equivalence_relations" in names:
-        first_missing(
-            "effective_equivalence_relations", _quotients(base, objects, scope, homs, never),
-            "quotient of M{1} by M{0} missing".format,
-        )
-
-    if "coproducts" in names:
-        first_missing(
-            "coproducts", _coproducts(base, objects, scope, never),
-            lambda *key: "coproduct M{} + M{}".format(*key) if key else "initial",
-        )
-
-    if "coproducts_disjoint" in names:
-        witness = None
-        for i, j in itertools.combinations_with_replacement(scope, 2):
-            cp = coproduct(i, j)
-            if not (cp.legs[0].is_pointwise_injective() and cp.legs[1].is_pointwise_injective()):
-                witness = f"injections of M{i} + M{j} not monic"
-                break
-            for a in range(base.n_objects):
-                im0 = set(cp.legs[0].components[a].values())
-                im1 = set(cp.legs[1].components[a].values())
-                if im0 & im1:
-                    witness = f"images of M{i} + M{j} overlap"
-                    break
-            if witness:
-                break
-        record("coproducts_disjoint", witness is None, witness)
-
-    if "coproducts_universal" in names:
-        witness = None
-        for i, j in itertools.combinations_with_replacement(scope, 2):
-            cp = coproduct(i, j)
-            k = E.find_object(cp.apex)
+    def injection_pullbacks():
+        # every pair's coproduct is built before the first lookup, so a pair
+        # over the fiber cap ends the battery whichever pullback is missing
+        cocones = [
+            (i, j, ps.coproduct(base, [objects[i], objects[j]]))
+            for i, j in itertools.combinations_with_replacement(scope, 2)
+        ]
+        for i, j, cocone in cocones:
+            k = E.find_object(cocone.apex)
             if k is None:
                 continue
-            iso = ps.find_iso(E.objects[k], cp.apex)
+            iso = ps.find_iso(objects[k], cocone.apex)
             for x in scope:
                 for h in E.homs(x, k):
                     hx = ps.compose_nats(iso, h)
                     for piece in (0, 1):
                         keep = [
-                            [u for u in E.objects[x].values[a] if hx.components[a][u][0] == piece]
+                            [u for u in objects[x].values[a] if hx.components[a][u][0] == piece]
                             for a in range(base.n_objects)
                         ]
-                        S, _ = ps.subpresheaf(E.objects[x], keep)
-                        if E.find_object(S) is None:
-                            witness = f"pullback of injection {piece} of M{i}+M{j} along M{x}->M{k} missing"
-                            break
-                    if witness:
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        record("coproducts_universal", witness is None, witness)
+                        yield (piece, i, j, x, k), lambda X=objects[x], keep=keep: ps.subpresheaf(X, keep)[0]
 
+    # check name -> (listing of (key, make), witness format of a key)
+    battery = {
+        "limits": (lambda: _limits(base, objects, scope, homs, never, set()), _limit_detail),
+        "regular_epi_stability": (pullbacks, "pullback of epi M{0}->M{1} along M{2}->M{1} missing".format),
+        "kernel_pair_quotients": (kernel_pairs, "{2} M{0}->M{1} missing".format),
+        "effective_equivalence_relations": (
+            lambda: _quotients(base, objects, scope, homs, never), "quotient of M{1} by M{0} missing".format,
+        ),
+        "coproducts": (
+            lambda: _coproducts(base, objects, scope, never),
+            lambda *key: "coproduct M{} + M{}".format(*key) if key else "initial",
+        ),
+        # a pointwise coproduct's injections are monic with disjoint images:
+        # tests/test_presheaf.py::test_coproduct_injections_are_disjoint
+        "coproducts_disjoint": (lambda: (), None),
+        "coproducts_universal": (
+            injection_pullbacks, "pullback of injection {0} of M{1}+M{2} along M{3}->M{4} missing".format,
+        ),
+    }
+    checks: dict[str, dict] = {}
+    for name in _FLAVOR_AXIOMS[flavor]:
+        listing, witness = battery[name]
+        missing = next((key for key, make in listing() if E.find_object(make()) is None), None)
+        checks[name] = {"passed": missing is None, "witness": None if missing is None else witness(*missing)}
     passed = all(c["passed"] for c in checks.values())
     return AxiomReport(f"{E.flavor}({E.base.name})", flavor, checks, passed)
 
@@ -768,20 +701,7 @@ def completion_structure(E: ConcreteCompletion, flavor: Optional[str] = None) ->
     """
     flavor = flavor or E.flavor
     cat = E.as_category()
-    cones: list[Cone] = []
-    c = limit_in_category(empty_diagram(cat))
-    if c is not None:
-        cones.append(c)
-    for i, j in itertools.combinations_with_replacement(range(cat.n_objects), 2):
-        c = limit_in_category(pair_diagram(cat, i, j))
-        if c is not None:
-            cones.append(c)
-    for (u, v) in cat.parallel_pairs():
-        if cat.is_identity(u) and cat.is_identity(v):
-            continue
-        c = limit_in_category(parallel_pair_diagram(cat, u, v))
-        if c is not None:
-            cones.append(c)
+    cones = [c for c in map(limit_in_category, vl.generating_diagrams(cat)) if c is not None]
 
     cocones: list[Cocone] = []
     epis: list[int] = []
@@ -865,58 +785,53 @@ def restriction(E: ConcreteCompletion, G: ps.SetFunctor) -> ps.SetFunctor:
     return ps.SetFunctor(C, values, actions, name=f"{G.name}|")
 
 
+def _natural_bijection(C: FiniteCategory, can: Sequence[dict], source: tuple, target: tuple) -> bool:
+    """Is ``can`` a natural bijection between the functors on ``C`` with
+    ``source`` and ``target`` as their value and action tables?
+
+    ``can[a]`` maps each element of ``source``'s values at ``a``.
+    """
+    (values, actions), (values2, actions2) = source, target
+    for a in range(C.n_objects):
+        image = set(can[a].values())
+        if len(image) != len(values[a]) or image != set(values2[a]):
+            return False
+    return all(
+        actions2[f][can[C.src[f]][x]] == can[C.tgt[f]][actions[f][x]]
+        for f in range(C.n_morphisms)
+        for x in values[C.src[f]]
+    )
+
+
 def _restriction_agrees(E: ConcreteCompletion, F: ps.SetFunctor, lan: LanExtension) -> bool:
     """Canonical comparison of the extension's restriction with the original."""
     C = E.base
     fd, isos = E.inclusion()
-    can = []
-    for c in range(C.n_objects):
-        k = fd.object_map[c]
-        w0 = isos[c].components[c][C.identity[c]]
-        can.append({x: lan.class_maps[k][(c, w0, x)] for x in F.values[c]})
-        if len(set(can[c].values())) != len(F.values[c]):
-            return False
-        if set(can[c].values()) != set(lan.functor.values[k]):
-            return False
-    for f in range(C.n_morphisms):
-        a, b = C.src[f], C.tgt[f]
-        for x in F.values[a]:
-            if lan.functor.actions[fd.morphism_map[f]][can[a][x]] != can[b][F.actions[f][x]]:
-                return False
-    return True
+    can = [
+        {x: lan.class_maps[k][(c, isos[c].components[c][C.identity[c]], x)] for x in F.values[c]}
+        for c, k in enumerate(fd.object_map)
+    ]
+    restricted = (
+        [lan.functor.values[k] for k in fd.object_map],
+        [lan.functor.actions[m] for m in fd.morphism_map],
+    )
+    return _natural_bijection(C, can, (F.values, F.actions), restricted)
 
 
-def _lan_of_restriction_agrees(E: ConcreteCompletion, G: ps.SetFunctor) -> bool:
-    """Canonical comparison of the extension of the restriction with ``G``."""
-    C = E.base
-    cat = E.as_category()
+def _lan_of_restriction_agrees(E: ConcreteCompletion, G: ps.SetFunctor, GK: ps.SetFunctor) -> bool:
+    """Canonical comparison of the extension of the restriction ``GK`` with ``G``."""
     fd, isos = E.inclusion()
-    GK = restriction(E, G)
     lan = lan_extension(E, GK)
     cans = []
-    for i in range(len(E.objects)):
+    for i, M in enumerate(E.objects):
         can = {}
-        for (c, w, x) in lan.class_maps[i]:
-            t = ps.compose_nats(
-                ps.classifying_nat(E.objects[i], c, w), isos[c].inverse()
-            )
-            mid = E.morphism_id(fd.object_map[c], i, t)
-            val = G.actions[mid][x]
-            rep = lan.class_maps[i][(c, w, x)]
-            if rep in can and can[rep] != val:
-                return False
-            can[rep] = val
-        if len(set(can.values())) != len(lan.functor.values[i]):
-            return False
-        if set(can.values()) != set(G.values[i]):
-            return False
+        for (c, w, x), rep in lan.class_maps[i].items():
+            t = ps.compose_nats(ps.classifying_nat(M, c, w), isos[c].inverse())
+            val = G.actions[E.morphism_id(fd.object_map[c], i, t)][x]
+            if can.setdefault(rep, val) != val:
+                return False  # not well defined on the class of rep
         cans.append(can)
-    for mid in range(cat.n_morphisms):
-        i, j = cat.src[mid], cat.tgt[mid]
-        for rep in lan.functor.values[i]:
-            if G.actions[mid][cans[i][rep]] != cans[j][lan.functor.actions[mid][rep]]:
-                return False
-    return True
+    return _natural_bijection(E.as_category(), cans, (lan.functor.values, lan.functor.actions), (G.values, G.actions))
 
 
 @dataclass(frozen=True)
@@ -1026,7 +941,7 @@ def universal_property_check(
         if not fl.is_flat_set_valued(GK).flat:
             restrictions_flat = False
             failures.append(f"restriction of structure-preserving functor {G.values} is not flat")
-        if not _lan_of_restriction_agrees(E, G):
+        if not _lan_of_restriction_agrees(E, G, GK):
             round_trips_ok = False
             failures.append(f"extension of the restriction differs from {G.values}")
     flat_classes = _iso_classes(flats)

@@ -293,8 +293,7 @@ def generating_diagrams(cat: FiniteCategory) -> list[Diagram]:
     if "generating_diagrams" not in cat._cache:
         out = [empty_diagram(cat)]
         for (u, u2) in cat.parallel_pairs():
-            if not cat.is_identity(u) or not cat.is_identity(u2):
-                out.append(parallel_pair_diagram(cat, u, u2))
+            out.append(parallel_pair_diagram(cat, u, u2))
         for a in range(cat.n_objects):
             for b in range(a, cat.n_objects):
                 out.append(pair_diagram(cat, a, b))

@@ -348,6 +348,17 @@ def nat_transformations_in_order(M, N):
     return out
 
 
+def family_homs(base, fam1, fam2):
+    """Family-form morphisms ``fam1 -> fam2`` between finite families of base
+    objects: an index map ``phi`` plus one base morphism
+    ``fam1[i] -> fam2[phi[i]]`` per index."""
+    return [
+        (phi, fs)
+        for phi in itertools.product(range(len(fam2)), repeat=len(fam1))
+        for fs in itertools.product(*[base.hom(a, fam2[k]) for a, k in zip(fam1, phi)])
+    ]
+
+
 # -- reference constructions ---------------------------------------------------
 
 

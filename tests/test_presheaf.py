@@ -419,6 +419,30 @@ def test_equivalence_relation_is_its_quotients_kernel_pair(cats, data):
     assert [{(x, z) for x, _, z in kq.apex.values[a]} for a in range(C.n_objects)] == graph
 
 
+def test_coproduct_injections_are_disjoint(cats):
+    # coproducts are taken pointwise, so their injections are monic with
+    # disjoint images that cover the coproduct at every object
+    both_inhabited = []
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def check(data):
+        C = cats[data.draw(st.sampled_from(["PAR", "Z2", "DISC2", "SPLIT", "CHAIN3", "ARROW"]))]
+        pool = _small_presheaves(C)
+        M, N = data.draw(st.sampled_from(pool)), data.draw(st.sampled_from(pool))
+        cp = ps.coproduct(C, [M, N])
+        assert all(leg.source is V and leg.target is cp.apex for leg, V in zip(cp.legs, (M, N), strict=True))
+        for a in range(C.n_objects):
+            images = [set(leg.components[a].values()) for leg in cp.legs]
+            assert [len(im) for im in images] == [len(M.values[a]), len(N.values[a])]
+            assert not images[0] & images[1]
+            assert images[0] | images[1] == set(cp.apex.values[a])
+        both_inhabited.append(any(M.values[a] and N.values[a] for a in range(C.n_objects)))
+
+    check()
+    assert any(both_inhabited)
+
+
 # -- one validator for both variances -----------------------------------------
 
 ID2, SWAP, CONST0, CONST1 = {0: 0, 1: 1}, {0: 1, 1: 0}, {0: 0, 1: 0}, {0: 1, 1: 1}

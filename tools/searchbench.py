@@ -1,6 +1,6 @@
 """Time the engine's backtracking searches, two cold-host layers, the
-flatness routes and the completions' closure in two source trees, side by
-side.
+flatness routes, the completions' closure and their universal property in
+two source trees, side by side.
 
     python tools/searchbench.py OLD_SRC NEW_SRC [--rounds 15]
 
@@ -57,6 +57,14 @@ One more times the free completions' closure and their axiom batteries:
   scope that ``verify-axioms`` gives it, each reduced to its ``to_json()``;
   the cases in ``SLOW_BUILDS`` and ``SLOW_BATTERIES`` take over 2 s in
   some tree and are left out.
+
+One more times the check of the completions' universal property:
+
+- ``universal_property``: ``universal_property_check`` at value bound 2 on
+  the ``reg`` completion (``close``) and the ``lext`` completion (``fam_f``
+  at family arity ``max_arity``) of every corpus category, built as the
+  ``universal-property`` command builds them at ``enumeration_cap=40,
+  max_iterations=1``, each reduced to its ``to_json()``.
 
 Inputs are built outside the timed region.  Each workload's outputs,
 reduced to plain tuples, must be equal on both sides, or the run stops;
@@ -289,6 +297,22 @@ def closure_run(pkg, inputs):
     return out
 
 
+def universal_setup(pkg):
+    cp = pkg["completions"]
+    bounds = cp.Bounds(enumeration_cap=40, max_iterations=1)
+    cases = []
+    for C in pkg["corpus"].all_categories().values():
+        cases.append((C, cp.close(C, "reg", bounds), "reg"))
+        cases.append((C, cp.fam_f(C, bounds.max_arity, bounds), "lext"))
+    return cases
+
+
+def universal_run(pkg, cases):
+    cp = pkg["completions"]
+    return [cp.universal_property_check(C, E, 2, flavor=flavor, cap=E.bounds.enumeration_cap).to_json()
+            for C, E, flavor in cases]
+
+
 WORKLOADS = {
     "cones": (cones_setup, cones_run),
     "find_iso": (pairs_setup, find_iso_run),
@@ -299,6 +323,7 @@ WORKLOADS = {
     "sketch_models": (sketch_setup, sketch_run),
     "flatness_routes": (flatness_setup, flatness_run),
     "completion_closure": (closure_setup, closure_run),
+    "universal_property": (universal_setup, universal_run),
 }
 
 
