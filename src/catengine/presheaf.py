@@ -620,6 +620,24 @@ def subpresheaf(M: Presheaf, keep: Sequence[Iterable], name=None):
     return S, mono
 
 
+def components(M: Presheaf) -> list[list[list]]:
+    """The connected components of ``M``'s category of elements, in order of
+    their first element, each as its elements per object in fiber order.
+
+    Each is action-closed, so the ``keep`` of a subpresheaf, and ``M`` is
+    the coproduct of those subpresheaves.
+    """
+    C = M.base
+    items = [(a, x) for a in range(C.n_objects) for x in M.values[a]]
+    pairs = [((C.tgt[f], x), (C.src[f], y)) for f in range(C.n_morphisms) for x, y in M.actions[f].items()]
+    reps, class_of = _classes(items, pairs)
+    at = {rep: k for k, rep in enumerate(reps)}
+    out = [[[] for _ in range(C.n_objects)] for _ in reps]
+    for a, x in items:
+        out[at[class_of[a, x]]][a].append(x)
+    return out
+
+
 def relabel(M: Presheaf, name=None) -> tuple[Presheaf, tuple[dict, ...]]:
     """Rename elements to small integers (per object, preserving order)."""
     C = M.base

@@ -362,6 +362,39 @@ def family_homs(base, fam1, fam2):
 # -- reference constructions ---------------------------------------------------
 
 
+def injection_pullbacks_witness(E, scope):
+    """The witness of ``coproducts_universal`` over ``scope``, or None, by
+    the full listing the battery ran before it was certified by connected
+    components: for each pair ``i <= j`` of the scope whose coproduct ``E``
+    holds as ``M{k}``, each scoped ``x``, each ``h: M{x} -> M{k}`` and each
+    injection, the subpresheaf of ``M{x}`` that ``h`` sends into the
+    injection's summand is looked up in ``E``, and the first one missing is
+    named."""
+    from catengine import presheaf as ps
+
+    base, objects = E.base, E.objects
+    cocones = [
+        (i, j, ps.coproduct(base, [objects[i], objects[j]]))
+        for i, j in itertools.combinations_with_replacement(scope, 2)
+    ]
+    for i, j, cocone in cocones:
+        k = E.find_object(cocone.apex)
+        if k is None:
+            continue
+        iso = ps.find_iso(objects[k], cocone.apex)
+        for x in scope:
+            for h in E.homs(x, k):
+                hx = ps.compose_nats(iso, h)
+                for piece in (0, 1):
+                    keep = [
+                        [u for u in objects[x].values[a] if hx.components[a][u][0] == piece]
+                        for a in range(base.n_objects)
+                    ]
+                    if E.find_object(ps.subpresheaf(objects[x], keep)[0]) is None:
+                        return f"pullback of injection {piece} of M{i}+M{j} along M{x}->M{k} missing"
+    return None
+
+
 def virtual_limit_by_presheaf_limit(cat, diagram):
     """The weight of ``virtlim.virtual_limit(cat, diagram)`` built as the
     pointwise limit of a checked diagram of representables and checked

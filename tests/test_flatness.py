@@ -363,13 +363,20 @@ def test_routes_decide_past_the_fiber_cap(cats):
         assert not v.flat and v.failing_weight.diagram == ("empty" if method in ("definitional", "multi", "merge") else "[*,*]")
 
 
-def test_trusted_completion_objects_revalidate(capsys, trusted_built):
-    # the completion-side twin: the CHAIN3 fam_f battery builds subpresheaves
-    # and relabelled copies and searches hom-sets and isomorphisms; the SPLIT
-    # Barr-exact battery takes images and quotients
+def test_trusted_completion_objects_revalidate(cats, capsys, trusted_built):
+    # the completion-side twin: the CHAIN3 fam_f battery builds relabelled
+    # copies and searches isomorphisms, and the full listing of its injection
+    # pullbacks (which its certificate by components replaces) builds
+    # subpresheaves and searches hom-sets; the SPLIT Barr-exact battery takes
+    # images and quotients
+    from catengine import completions as cp
+
     assert cli.main(["verify-axioms", "--category", "CHAIN3", "--flavor", "fam_f"]) == 0
     assert cli.main(["verify-axioms", "--category", "SPLIT", "--flavor", "ex"]) == 0
     capsys.readouterr()
+    E = cp.fam_f(cats["CHAIN3"], 4)
+    scope = [i for i, p in enumerate(E.provenance) if p.detail == "(empty)" or len(p.detail.split(",")) <= 2]
+    assert oracles.injection_pullbacks_witness(E, scope) is None
     floors = {
         ("Presheaf", "subpresheaf"): 1000, ("Presheaf", "relabel"): 10, ("Presheaf", "quotient_presheaf"): 10,
         ("NatTransformation", "quotient_presheaf"): 10, ("NatTransformation", "epi_mono_factorize"): 10,

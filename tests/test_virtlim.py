@@ -199,6 +199,23 @@ def test_weight_elements_category_matches_arrow_data(cats):
     assert El.n_morphisms == total_raw
 
 
+def test_presheaf_components_match_breadth_first_search(cats):
+    # presheaf.components links elements along a presheaf's actions; the
+    # oracle links two elements of a weight when an arrow of its category of
+    # elements joins them, and both give the components in element order
+    sizes = collections.Counter()
+    for name, C in cats.items():
+        for diagram in vl.swept_diagrams(C, 2):
+            v = vl.virtual_limit(C, diagram)
+            elems = v.elements()
+            linked = [(e1, e2) for e1 in elems for e2 in elems if v.arrows(e1, e2)]
+            want = [sorted(comp, key=elems.index) for comp in oracles.connected_components(elems, linked)]
+            got = [[(c, w) for c in range(C.n_objects) for w in keep[c]] for keep in ps.components(v.weight)]
+            assert got == sorted(want, key=lambda comp: elems.index(comp[0])), (name, diagram.describe())
+            sizes[min(len(want), 2)] += 1
+    assert sizes[0] and sizes[1] and sizes[2], sizes
+
+
 def test_fc_and_poly_agree_with_oracle_on_swept_z2(cats):
     Z2 = cats["Z2"]
     for diagram in vl.swept_diagrams(Z2, 2):

@@ -2,7 +2,7 @@
 flatness routes, the completions' closure and their universal property in
 two source trees, side by side.
 
-    python tools/searchbench.py OLD_SRC NEW_SRC [--rounds 15]
+    python tools/searchbench.py OLD_SRC NEW_SRC [--rounds 15] [--only NAME[,NAME]]
 
 ``OLD_SRC`` and ``NEW_SRC`` are ``src/`` directories, for instance one in a
 ``git archive`` of the parent commit and this checkout's own.  Each tree's
@@ -72,6 +72,7 @@ that first run also warms both sides and sets how often one timed sample
 repeats the workload, so that it takes about 0.1 s on the old side.  Rounds
 alternate which side runs first.  Prints the median seconds per run of each
 side and the ratio new / old per workload (below 1: the new tree is faster).
+``--only`` sets up and times just the named workloads.
 """
 from __future__ import annotations
 
@@ -332,30 +333,36 @@ def main(argv=None) -> int:
     p.add_argument("old_src")
     p.add_argument("new_src")
     p.add_argument("--rounds", type=int, default=15)
+    p.add_argument("--only", metavar="NAME[,NAME]", help="time only these workloads")
     args = p.parse_args(argv)
+    names = args.only.split(",") if args.only else list(WORKLOADS)
+    unknown = [w for w in names if w not in WORKLOADS]
+    if unknown:
+        p.error(f"unknown workload {', '.join(unknown)}; choose from {', '.join(WORKLOADS)}")
+    workloads = {w: WORKLOADS[w] for w in names}
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
         pkgs = {side: load(src, side, Path(tmp)) for side, src in zip(SIDES, (args.old_src, args.new_src))}
-        inputs = {(w, side): setup(pkgs[side]) for w, (setup, _) in WORKLOADS.items() for side in SIDES}
+        inputs = {(w, side): setup(pkgs[side]) for w, (setup, _) in workloads.items() for side in SIDES}
         reps = {}
-        for w, (_, run) in WORKLOADS.items():
+        for w, (_, run) in workloads.items():
             outputs = {side: run(pkgs[side], inputs[w, side]) for side in SIDES}  # also warms both sides
             if outputs["old"] != outputs["new"]:
                 raise SystemExit(f"{w}: the two trees give different outputs")
             t0 = time.perf_counter()
             run(pkgs["old"], inputs[w, "old"])
             reps[w] = max(1, round(SAMPLE_S / (time.perf_counter() - t0)))
-        times = {(w, side): [] for w in WORKLOADS for side in SIDES}
+        times = {(w, side): [] for w in workloads for side in SIDES}
         for r in range(args.rounds):
             order = SIDES if r % 2 == 0 else SIDES[::-1]
-            for w, (_, run) in WORKLOADS.items():
+            for w, (_, run) in workloads.items():
                 for side in order:
                     t0 = time.perf_counter()
                     for _ in range(reps[w]):
                         run(pkgs[side], inputs[w, side])
                     times[w, side].append((time.perf_counter() - t0) / reps[w])
     print(f"{'workload':<18} {'old_s':>9} {'new_s':>9} {'new/old':>8}   ({args.rounds} alternating rounds, medians)")
-    for w in WORKLOADS:
+    for w in workloads:
         old, new = (statistics.median(times[w, side]) for side in SIDES)
         print(f"{w:<18} {old:9.4f} {new:9.4f} {new / old:8.3f}")
     return 0
