@@ -32,7 +32,6 @@ from typing import Optional, Sequence
 from .errors import FiberCapExceeded, NotWeaklyLex, ValidationError
 from .fincat import (
     Cocone,
-    Cone,
     FiniteCategory,
     FunctorData,
     all_cocones,
@@ -46,6 +45,7 @@ from .fincat import (
     parallel_pair_diagram,
 )
 from . import flatness as fl
+from . import localize as lz
 from . import presheaf as ps
 from . import virtlim as vl
 
@@ -745,20 +745,14 @@ def _component_unions(X: ps.Presheaf):
 # -- the universal property ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CompletionStructure:
-    """Categorical structure of a completion, found by universal-property search."""
-
-    limit_cones: tuple[Cone, ...]
-    coproduct_cocones: tuple[Cocone, ...]
-    regular_epis: tuple[int, ...]
-
-
-def completion_structure(E: ConcreteCompletion, flavor: Optional[str] = None) -> CompletionStructure:
+def completion_structure(E: ConcreteCompletion, flavor: Optional[str] = None) -> lz.Sketch:
     """Search the completion category for its limits and flavor colimits.
 
     Everything is determined by the universal property inside the category
-    itself, not read off the construction provenance.
+    itself, not read off the construction provenance.  The result is the
+    sketch whose set-valued models are the structure-preserving functors:
+    the limit cones, the coproduct cocones and each regular epi as a
+    one-morphism fc-epi family.
     """
     flavor = flavor or E.flavor
     cat = E.as_category()
@@ -778,7 +772,7 @@ def completion_structure(E: ConcreteCompletion, flavor: Optional[str] = None) ->
         for e in range(cat.n_morphisms):
             if _is_regular_epi_in(cat, e):
                 epis.append(e)
-    return CompletionStructure(tuple(cones), tuple(cocones), tuple(epis))
+    return lz.Sketch(cat, tuple(cones), tuple(cocones), tuple((e,) for e in epis))
 
 
 def _is_regular_epi_in(cat: FiniteCategory, e: int) -> bool:
@@ -795,22 +789,6 @@ def _is_regular_epi_in(cat: FiniteCategory, e: int) -> bool:
     except ValidationError:
         return False
     return is_universal(cat, target, legs, [(c.apex, c.legs) for c in all_cocones(diagram)], cocone=True)
-
-
-def is_phi_exact_set_functor(G: ps.SetFunctor, struct: CompletionStructure, flavor: str) -> bool:
-    """Does ``G`` preserve the materialized limits and flavor colimits?"""
-    cat = G.base
-    for cone in struct.limit_cones:
-        if not fl.preserves_limit(G, cone):
-            return False
-    for cocone in struct.coproduct_cocones:
-        if not fl.preserves_colimit(G, cocone):
-            return False
-    for e in struct.regular_epis:
-        image = set(G.actions[e].values())
-        if image != set(G.values[cat.tgt[e]]):
-            return False
-    return True
 
 
 @dataclass(frozen=True, eq=False)
@@ -927,21 +905,15 @@ class UniversalPropertyReport:
         }
 
 
-def _kept(gen, cap: int, note: list, keep) -> list:
-    """The items among the first ``cap`` of ``gen`` that ``keep`` accepts.
-
-    Each item is tested as it is drawn and dropped unless kept, so memory
-    holds only the kept ones.  ``cap + 1`` items are drawn at most; drawing
-    the last notes "sampled".
-    """
-    out = []
+def _drawn(gen, cap: int, note: list):
+    """The first ``cap`` items of ``gen``, drawn one at a time; drawing one
+    more notes "sampled".  A caller that tests each item as it comes holds
+    only the ones it keeps."""
     for k, item in enumerate(gen):
         if k == cap:
             note.append("sampled")
-            break
-        if keep(item):
-            out.append(item)
-    return out
+            return
+        yield item
 
 
 def _iso_classes(functors: Sequence[ps.SetFunctor]) -> int:
@@ -970,28 +942,28 @@ def universal_property_check(
     must restrict to a flat one; both canonical round-trip comparisons must
     be isomorphisms; and the two sides must have the same number of
     isomorphism classes.
+
+    Both sides are drawn by ``localize.models``: the base's functors as the
+    models of the empty sketch, the completion's structure-preserving ones
+    as the models of ``completion_structure``, so no candidate that breaks
+    the structure is built.  The cap counts the candidates that survive the
+    sketch's constraints, on each side; drawing more notes "sampled".
     """
     flavor = flavor or E.flavor
     cap = cap or E.bounds.enumeration_cap
     notes: list[str] = []
     rng = random.Random(seed)
-    cat = E.as_category()
     struct = completion_structure(E, flavor)
-    flats = _kept(
-        ps.enumerate_set_functors(C, value_bound, rng=rng), cap, notes,
-        lambda F: fl.is_flat_set_valued(F).flat,
-    )
-    exacts = _kept(
-        ps.enumerate_set_functors(cat, value_bound, rng=rng), cap, notes,
-        lambda G: is_phi_exact_set_functor(G, struct, flavor),
-    )
+    flats = [
+        F for F in _drawn(lz.models(lz.Sketch(C), value_bound, rng), cap, notes)
+        if fl.is_flat_set_valued(F).flat
+    ]
+    exacts = list(_drawn(lz.models(struct, value_bound, rng), cap, notes))
     failures: list[str] = []
     extensions_exact = restrictions_flat = round_trips_ok = True
-    lans = []
     for F in flats:
         lan = lan_extension(E, F)
-        lans.append(lan)
-        if not is_phi_exact_set_functor(lan.functor, struct, flavor):
+        if not lz.is_sketch_model(struct, lan.functor):
             extensions_exact = False
             failures.append(f"extension of flat functor {F.values} is not structure-preserving")
         if not _restriction_agrees(E, F, lan):

@@ -866,7 +866,8 @@ def _generators(cat: FiniteCategory) -> list[int]:
     return gens
 
 
-def enumerate_functors(source: FiniteCategory, target: FiniteCategory, rng=None) -> Iterator[FunctorData]:
+def enumerate_functors(source: FiniteCategory, target: FiniteCategory, rng=None,
+                       fits=None, cuts=()) -> Iterator[FunctorData]:
     """Yield every functor ``source -> target`` in a deterministic order.
 
     For each object map, :func:`backtrack` branches over a generating set of
@@ -875,6 +876,14 @@ def enumerate_functors(source: FiniteCategory, target: FiniteCategory, rng=None)
     branches early and a complete assignment is a functor.  With ``rng`` the
     branch orders are shuffled (deterministically for a seeded generator),
     which turns truncated enumeration into fair sampling.
+
+    A caller that wants only some functors may say which cannot qualify.  An
+    object map that ``fits(omap)`` rejects is skipped once its pools are
+    drawn, so a seeded ``rng`` stream does not change.  Each ``(support,
+    test)`` of ``cuts`` is asked ``test(omap, mmap)`` as soon as every
+    morphism of ``support`` is assigned, with ``mmap`` the partial morphism
+    map; a false answer cuts the branch.  Both only remove functors: the
+    rest come in the same order.
     """
     gens = _generators(source)
     n = source.n_morphisms
@@ -888,10 +897,20 @@ def enumerate_functors(source: FiniteCategory, target: FiniteCategory, rng=None)
             if c >= 0:
                 around[f].append((g, c, False))
                 around[g].append((f, c, True))
+    cuts_at = [[] for _ in range(n)]  # m -> the cuts whose support holds m
+    for support, test in cuts:
+        for m in set(support):
+            cuts_at[m].append((support, test))
     table = target.table
 
     def composites(m: int, val: int, mmap: dict) -> list:
         return [(c, table[val][mmap[k]] if first else table[mmap[k]][val]) for k, c, first in around[m] if k in mmap]
+
+    def cut_or_composites(m: int, val: int, mmap: dict):
+        for support, test in cuts_at[m]:
+            if all(k in mmap for k in support) and not test(omap, mmap):
+                return None
+        return composites(m, val, mmap)
 
     def choices(seq):
         seq = list(seq)
@@ -906,8 +925,10 @@ def enumerate_functors(source: FiniteCategory, target: FiniteCategory, rng=None)
             if not pools[m]:
                 break
         else:
+            if fits is not None and not fits(omap):
+                continue
             identities = [(source.identity[a], target.identity[omap[a]]) for a in range(source.n_objects)]
-            for mmap in backtrack(gens, pools.__getitem__, composites, identities):
+            for mmap in backtrack(gens, pools.__getitem__, cut_or_composites if cuts else composites, identities):
                 yield FunctorData(source, target, omap, tuple(mmap[m] for m in range(n)), check=False)
 
 

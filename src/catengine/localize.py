@@ -9,8 +9,12 @@ a finite category, which re-proves associativity and unitality.
 """
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 from dataclasses import dataclass
-from typing import Sequence
+from types import SimpleNamespace
+from typing import Iterator, Sequence
 
 from .errors import (
     EnumerationTooLarge,
@@ -26,6 +30,7 @@ from .fincat import (
     colimit_in_category,
     compose_functors,
     enumerate_functors,
+    finset_category,
     mediators,
     pair_diagram,
     pullback_in_category,
@@ -344,32 +349,97 @@ class Sketch:
             if len(tgts) != 1:
                 raise ValidationError("fc-epi family must share its target")
 
+    @functools.cached_property
+    def checks(self) -> tuple:
+        """Each spec as ``(support, objects, check)``, limits first, then
+        coproducts, then fc-epi families: ``check(F)`` says whether the set
+        functor ``F`` sends it to a limit, a colimit or a jointly surjective
+        family, reading ``F.values`` only at ``objects`` and ``F.actions``
+        only at the morphisms of ``support``."""
+        out = []
+        for spec, preserves in [(c, fl.preserves_limit) for c in self.limit_specs] + [
+            (c, fl.preserves_colimit) for c in self.coproduct_specs
+        ]:
+            body = spec.diagram.body
+            out.append((
+                spec.legs + body.morphism_map, (spec.apex, *body.object_map),
+                lambda F, spec=spec, preserves=preserves: preserves(F, spec),
+            ))
+        for fam in self.fc_epi_specs:
+            tgt = self.host.tgt[fam[0]]
+            out.append((
+                fam, (tgt,),
+                lambda F, fam=fam, tgt=tgt: set().union(*(F.actions[e].values() for e in fam)) == set(F.values[tgt]),
+            ))
+        return tuple(out)
+
 
 def is_sketch_model(sk: Sketch, F: ps.SetFunctor) -> bool:
-    for cone in sk.limit_specs:
-        if not fl.preserves_limit(F, cone):
-            return False
-    for cocone in sk.coproduct_specs:
-        if not fl.preserves_colimit(F, cocone):
-            return False
-    for fam in sk.fc_epi_specs:
-        tgt = sk.host.tgt[fam[0]]
-        hit = set()
-        for e in fam:
-            hit.update(F.actions[e].values())
-        if hit != set(F.values[tgt]):
-            return False
-    return True
+    return all(check(F) for _, _, check in sk.checks)
+
+
+def _cardinalities(sk: Sketch):
+    """What the sketch forces on the sizes of a model's values: with
+    ``size[a]`` the size at object ``a``, a discrete limit spec has the
+    product of its vertices' sizes at its apex (1 for the empty product), a
+    discrete coproduct spec the sum (0 for the empty sum), and an fc-epi
+    family's target is no larger than the sum of its sources."""
+    def discrete(spec):
+        S = spec.diagram.shape
+        return all(S.is_identity(s) for s in range(S.n_morphisms))
+
+    products = [(c.apex, c.diagram.body.object_map) for c in sk.limit_specs if discrete(c)]
+    sums = [(c.apex, c.diagram.body.object_map) for c in sk.coproduct_specs if discrete(c)]
+    covers = [(sk.host.tgt[fam[0]], [sk.host.src[e] for e in fam]) for fam in sk.fc_epi_specs]
+
+    def fits(size) -> bool:
+        return (
+            all(size[a] == math.prod(size[v] for v in vs) for a, vs in products)
+            and all(size[a] == sum(size[v] for v in vs) for a, vs in sums)
+            and all(size[a] <= sum(size[v] for v in vs) for a, vs in covers)
+        )
+
+    return fits
+
+
+def models(sk: Sketch, value_bound: int, rng=None) -> Iterator[ps.SetFunctor]:
+    """The models of the sketch among the set functors on its host with
+    values of size at most ``value_bound``, in the order in which
+    ``presheaf.enumerate_set_functors`` draws them (with the same ``rng``,
+    the same draw).
+
+    A candidate that cannot be a model is never built.  Functors into
+    FinSet<=value_bound, whose object ``k`` is the set ``range(k)``, are
+    enumerated by ``fincat.enumerate_functors`` with two exact prunes: an
+    object map whose sizes break ``_cardinalities`` is skipped, and each
+    spec is checked on the decoded maps as soon as its support is assigned,
+    which cuts the branch when it fails.  Every survivor is still built by
+    the checked ``SetFunctor`` constructor and yielded only if it passes
+    ``is_sketch_model``.
+    """
+    FS, decode = finset_category(value_bound)
+    maps = [dict(enumerate(t)) for _, _, t in decode]
+
+    def cut(support, objects, check):
+        return lambda omap, mmap: check(SimpleNamespace(
+            values={a: range(omap[a]) for a in objects}, actions={m: maps[mmap[m]] for m in support},
+        ))
+
+    cuts = [(support, cut(support, objects, check)) for support, objects, check in sk.checks]
+    for fd in enumerate_functors(sk.host, FS, rng=rng, fits=_cardinalities(sk), cuts=cuts):
+        F = ps.set_functor_from_functor_data(fd, decode)
+        if is_sketch_model(sk, F):
+            yield F
 
 
 def sketch_models(sk: Sketch, value_bound: int, cap: int = 20000, rng=None) -> list[ps.SetFunctor]:
-    """All bounded set-valued models of the sketch, by filtered enumeration."""
-    out = []
-    count = 0
-    for F in ps.enumerate_set_functors(sk.host, value_bound, rng=rng):
-        count += 1
-        if count > cap:
-            raise EnumerationTooLarge(count, cap)
-        if is_sketch_model(sk, F):
-            out.append(F)
+    """All bounded set-valued models of the sketch, from :func:`models`.
+
+    The cap counts the candidates that survive the sketch's constraints,
+    which are its models: more than ``cap`` of them raise
+    ``EnumerationTooLarge``.
+    """
+    out = list(itertools.islice(models(sk, value_bound, rng), cap + 1))
+    if len(out) > cap:
+        raise EnumerationTooLarge(len(out), cap)
     return out

@@ -10,6 +10,7 @@ answers that faster routes must reproduce byte for byte.
 from __future__ import annotations
 
 import itertools
+from types import SimpleNamespace
 
 
 def enumerate_cones(diagram):
@@ -357,6 +358,60 @@ def family_homs(base, fam1, fam2):
         for phi in itertools.product(range(len(fam2)), repeat=len(fam1))
         for fs in itertools.product(*[base.hom(a, fam2[k]) for a, k in zip(fam1, phi)])
     ]
+
+
+def _sends_to_limit(values, actions, cone) -> bool:
+    """Is the cone's image a limit of finite sets: is ``x -> (leg(x))`` a
+    bijection from the apex's values onto the compatible tuples?"""
+    lim = finset_limit(cone.diagram, SimpleNamespace(values=values, actions=actions))
+    image = [tuple(actions[leg][x] for leg in cone.legs) for x in values[cone.apex]]
+    return len(set(image)) == len(image) and set(image) == set(lim)
+
+
+def _sends_to_colimit(values, actions, cocone) -> bool:
+    """Is the cocone's image a colimit of finite sets: does every class of
+    the glued values (``naive_quotient_classes``) go to one value of the
+    apex, and each value of the apex come from exactly one class?"""
+    D, S = cocone.diagram, cocone.diagram.shape
+    items = [(d, x) for d in range(S.n_objects) for x in values[D.vertex(d)]]
+    pairs = [
+        ((S.src[s], x), (S.tgt[s], actions[D.body.morphism_map[s]][x]))
+        for s in range(S.n_morphisms)
+        for x in values[D.vertex(S.src[s])]
+    ]
+    images = []
+    for cls in naive_quotient_classes(items, pairs):
+        image = {actions[cocone.legs[d]][x] for d, x in cls}
+        if len(image) != 1:
+            return False
+        images += image
+    return len(set(images)) == len(images) and set(images) == set(values[cocone.apex])
+
+
+def sketch_models_by_filter(sk, value_bound, rng=None):
+    """The models of a sketch as ``(values, actions)`` tables, by
+    generate-and-filter with no prune: every functor into
+    FinSet<=value_bound that ``enumerate_functors_recursive`` draws (``rng``
+    shuffles as the engine does), decoded and kept when it sends each limit
+    spec to a limit, each coproduct spec to a colimit and each fc-epi family
+    onto its target.  The referee of ``localize.models``."""
+    from catengine.fincat import finset_category
+
+    FS, decode = finset_category(value_bound)
+    out = []
+    for omap, mmap in enumerate_functors_recursive(sk.host, FS, rng):
+        values = tuple(tuple(range(decode[FS.identity[o]][0])) for o in omap)
+        actions = tuple({i: y for i, y in enumerate(decode[f][2])} for f in mmap)
+        if (
+            all(_sends_to_limit(values, actions, cone) for cone in sk.limit_specs)
+            and all(_sends_to_colimit(values, actions, cocone) for cocone in sk.coproduct_specs)
+            and all(
+                {actions[e][x] for e in fam for x in values[sk.host.src[e]]} == set(values[sk.host.tgt[fam[0]]])
+                for fam in sk.fc_epi_specs
+            )
+        ):
+            out.append((values, actions))
+    return out
 
 
 # -- reference constructions ---------------------------------------------------

@@ -14,6 +14,7 @@ from catengine import presheaf as ps
 from catengine import flatness as fl
 from catengine import virtlim as vl
 from catengine import completions as cp
+from catengine import localize as lz
 from catengine import cli
 from catengine.errors import NotWeaklyLex, ValidationError
 from conftest import hom_functor
@@ -183,7 +184,10 @@ def test_relations_that_do_not_fit_are_not_equivalences(cats):
         reps = [ps.yoneda(C, a) for a in range(C.n_objects)]
         pool = reps + [ps.terminal_presheaf(C)] + [ps.coproduct(C, [Y, Y]).apex for Y in reps]
         M = data.draw(st.sampled_from(pool))
-        R = data.draw(st.sampled_from([M, ps.product(C, [M, M]).apex] + pool))
+        # squares of representables only: the search for the first map
+        # (Y+Y)^2 => Y+Y on PAR takes 7 s, and all of them far longer
+        squares = [ps.product(C, [M, M]).apex] if M in reps else []
+        R = data.draw(st.sampled_from([M] + squares + pool))
         ts = ps.hom_set(R, M)
         if not ts:
             return
@@ -227,7 +231,7 @@ def test_nonflat_extension_fails_structure(cats):
     E = cp.fam_f(cats["DISC2"], 2)
     struct = cp.completion_structure(E, "lext")
     lan = cp.lan_extension(E, ps.constant_set_functor(cats["DISC2"]))
-    assert not cp.is_phi_exact_set_functor(lan.functor, struct, "lext")
+    assert not lz.is_sketch_model(struct, lan.functor)
 
 
 def test_nonrepresentable_limit_witness_on_par(cats):
@@ -524,28 +528,33 @@ def test_cli_completion_reports_pinned(case, capsys):
     assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == CLI_DIGESTS[case]
 
 
-# universal-property reports of every corpus category and flavor, computed
-# before candidates were tested as they are enumerated: a cap of 40 samples
-# most enumerations, and the second block enumerates in full
+# universal-property reports of every corpus category and flavor.  The cap
+# counts the candidates that survive the completion's sketch, so at a cap of
+# 40 only CHAIN3 lext and CHAIN3 reg are sampled; the second block
+# enumerates in full.  Its last three guard the prunes: generate-and-filter
+# runs for 30 s or more on each (max_arity=2 is the default)
 UNIVERSAL_PROPERTY_DIGESTS = {
     "ONE reg enumeration_cap=40,max_iterations=1": "1d352a6df4b70b59ca30e8337ebde982d4b1009c1bfa3307a4da2b19d9ee29bb",
     "ONE lext enumeration_cap=40,max_iterations=1": "81fc2ac758740c266b2400fe767ddb04d92289aa592bbc5b3857f5f5fd40b057",
     "ARROW reg enumeration_cap=40,max_iterations=1": "0ea254e53d71a5c43744490071a2f27c62eb68b02e3ec61b8f97dd71949ccf3f",
-    "ARROW lext enumeration_cap=40,max_iterations=1": "815e245d16d4da33ba33d6323d13c6867720d3f8b72fdaed3ebc7818dd64f319",
-    "PAR reg enumeration_cap=40,max_iterations=1": "e31060e33e6aa08a087805ac15d2c47f5a3b507f2baf2082c0f9e964fa6efaf9",
-    "PAR lext enumeration_cap=40,max_iterations=1": "84d8a3e24839558d1adc4c79dde3d7ba8cbb244dfa3bbbfbdb115b33a4bf5dc6",
-    "DISC2 reg enumeration_cap=40,max_iterations=1": "3e558907ae7e8e0db0cb7dd374cf39f5b77a93eac62a5a0ab04f4dac67e90817",
-    "DISC2 lext enumeration_cap=40,max_iterations=1": "bd18fbce44e39182888666523a70f2a9a4080d04a3e39dea31b217469b840369",
-    "Z2 reg enumeration_cap=40,max_iterations=1": "27af33884afba607a9035dd5de76df84ccbc54b0391c385d60e80d98096e98c1",
+    "ARROW lext enumeration_cap=40,max_iterations=1": "9c96d6ea211c345e45a018bc8f3a6b53182a61bfc57c612c504ea36d93f87c0a",
+    "PAR reg enumeration_cap=40,max_iterations=1": "fcccdd89016f940ea2382680ab183917ac7d5e8b00d117d5da228dd743996286",
+    "PAR lext enumeration_cap=40,max_iterations=1": "0ad14f1d3c76b7024296e87133bfd202e5af559778fc6b6faa47e3c277430d3d",
+    "DISC2 reg enumeration_cap=40,max_iterations=1": "a90c946aab8b1446322350ac4be6bc593bea68f21b889365a0da726dd6c1f4a6",
+    "DISC2 lext enumeration_cap=40,max_iterations=1": "47fe70231fb3e67d92f44d19ab3ba0dcf229d2655d8fe2ed7a432a9d69ce092f",
+    "Z2 reg enumeration_cap=40,max_iterations=1": "9ca86675814bbd1281a00c48802902daa7cd0c9f5ba387ac6dff243e89896ff3",
     "Z2 lext enumeration_cap=40,max_iterations=1": "c23fa3135aa9ff11cb266e78461fad88ffb578263dd971a9831cdf17fb10557b",
     "CHAIN3 reg enumeration_cap=40,max_iterations=1": "37e25b95201c11f075b9aeac5f6303bc8f64a7e031061dbb614801dd1c3c2ef3",
-    "CHAIN3 lext enumeration_cap=40,max_iterations=1": "815e245d16d4da33ba33d6323d13c6867720d3f8b72fdaed3ebc7818dd64f319",
-    "SPLIT reg enumeration_cap=40,max_iterations=1": "8da586fd04e1b4b2141247d22ef0d0993d83d06700993bfb4b2dccfb9a72a5aa",
-    "SPLIT lext enumeration_cap=40,max_iterations=1": "bdcf2d11d6881b199a04da4b884c0f35d0bfcc6849b34f1e422ce5bda1981b9e",
+    "CHAIN3 lext enumeration_cap=40,max_iterations=1": "e7fb38da0a16db360fa69ec16591d6420fe82da67d56ea2111af892fc7eeee08",
+    "SPLIT reg enumeration_cap=40,max_iterations=1": "028b75bbc3766581260b5f2ca66644247d8e4d3c1e713bb523334f88ff2ecced",
+    "SPLIT lext enumeration_cap=40,max_iterations=1": "6d9ef6a71663aca9075b0c29283bd836fc0825e35535c889dd343a69b072b574",
     "DISC2 reg max_iterations=1": "a90c946aab8b1446322350ac4be6bc593bea68f21b889365a0da726dd6c1f4a6",
     "Z2 reg max_iterations=1": "9ca86675814bbd1281a00c48802902daa7cd0c9f5ba387ac6dff243e89896ff3",
     "CHAIN3 reg max_iterations=1": "65fc68028bec33b493e8591efdada5fb0b4090fe60e5ad76e6212195578c09fc",
     "SPLIT reg max_iterations=1": "028b75bbc3766581260b5f2ca66644247d8e4d3c1e713bb523334f88ff2ecced",
+    "SPLIT lext max_iterations=1": "6d9ef6a71663aca9075b0c29283bd836fc0825e35535c889dd343a69b072b574",
+    "PAR reg max_iterations=1": "fcccdd89016f940ea2382680ab183917ac7d5e8b00d117d5da228dd743996286",
+    "CHAIN3 lext max_arity=2": "07c867a9058c3dccd10c3d4ee4a8baadbc01f710764b89ee31b98d45af1b27a0",
 }
 
 
@@ -561,22 +570,23 @@ def test_universal_property_streams_candidates(cats, monkeypatch):
     # each candidate is tested as it is drawn: when the next one is drawn,
     # every earlier candidate but the one just tested is dead unless it was
     # kept as flat (base) or exact (completion); each enumeration still draws
-    # cap + 1 candidates, one more than it tests
-    C, cap = cats["DISC2"], 5
+    # cap + 1 candidates, one more than it tests (the completion's side draws
+    # only its 4 models, so the cap is below that)
+    C, cap = cats["DISC2"], 3
     E = cp.close(C, "reg", cp.Bounds(max_iterations=1))
     struct = cp.completion_structure(E, "reg")
-    enumerate_set_functors = ps.enumerate_set_functors
+    models = lz.models
     draws, dead = [], [0]
 
     def kept(G) -> bool:
         if G.base == C:
             return fl.is_flat_set_valued(G).flat
-        return cp.is_phi_exact_set_functor(G, struct, "reg")
+        return lz.is_sketch_model(struct, G)
 
-    def watched(cat, n, rng=None):
+    def watched(sk, n, rng=None):
         drawn = []
         draws.append(drawn)
-        for G in enumerate_set_functors(cat, n, rng=rng):
+        for G in models(sk, n, rng=rng):
             gc.collect()
             for ref in drawn[:-1]:
                 H = ref()
@@ -588,7 +598,7 @@ def test_universal_property_streams_candidates(cats, monkeypatch):
             drawn.append(weakref.ref(G))
             yield G
 
-    monkeypatch.setattr(ps, "enumerate_set_functors", watched)
+    monkeypatch.setattr(lz, "models", watched)
     report = cp.universal_property_check(C, E, 2, flavor="reg", cap=cap)
     assert report.sampled and [len(d) for d in draws] == [cap + 1, cap + 1]
     assert dead[0] > 0 and report.flats + report.exacts < 2 * cap

@@ -35,10 +35,10 @@ about its limits, as every perfbench universal-search job is:
   and five completion hosts, with the host's cache and the virtual-limit
   cache emptied before each run (a weight over the fiber cap counts by its
   message);
-- ``sketch_models``: ``localize.is_sketch_model`` for every functor from a
-  corpus category into FinSet<=2 against the limit cones of the category's
-  generating diagrams on at most two objects, so ``preserves_limit`` runs
-  once per functor and cone.
+- ``sketch_models``: ``localize.sketch_models`` at value bound 2 for the
+  sketch of every corpus category's generating limits on at most two
+  objects, end to end: the enumeration with the sketch's prunes and the
+  model check of each survivor.
 
 One more times the flatness routes as the flat census asks them:
 
@@ -62,9 +62,11 @@ One more times the check of the completions' universal property:
 
 - ``universal_property``: ``universal_property_check`` at value bound 2 on
   the ``reg`` completion (``close``) and the ``lext`` completion (``fam_f``
-  at family arity ``max_arity``) of every corpus category, built as the
-  ``universal-property`` command builds them at ``enumeration_cap=40,
-  max_iterations=1``, each reduced to its ``to_json()``.
+  at family arity ``max_arity``), built as the ``universal-property``
+  command builds them at ``max_iterations=1`` and the default enumeration
+  cap, each reduced to its ``to_json()``: ONE, ARROW, DISC2 and Z2 with both
+  flavours, CHAIN3 and SPLIT with ``reg``.  These enumerate in full, so the
+  report does not depend on how many candidates a tree draws.
 
 Inputs are built outside the timed region.  Each workload's outputs,
 reduced to plain tuples, must be equal on both sides, or the run stops;
@@ -228,18 +230,20 @@ def virtual_limits_run(pkg, inputs):
 
 
 def sketch_setup(pkg):
-    fc, lz, ps, vl = pkg["fincat"], pkg["localize"], pkg["presheaf"], pkg["virtlim"]
+    fc, lz, vl = pkg["fincat"], pkg["localize"], pkg["virtlim"]
     out = []
     for C in pkg["corpus"].all_categories().values():
         cones = map(fc.limit_in_category, vl.generating_diagrams(C))
-        specs = tuple(c for c in cones if c is not None and c.diagram.shape.n_objects <= 2)
-        out.append((lz.Sketch(C, specs), list(ps.enumerate_set_functors(C, 2))))
+        out.append(lz.Sketch(C, tuple(c for c in cones if c is not None and c.diagram.shape.n_objects <= 2)))
     return out
 
 
-def sketch_run(pkg, inputs):
+def sketch_run(pkg, sketches):
     lz = pkg["localize"]
-    return [tuple(lz.is_sketch_model(sk, F) for F in functors) for sk, functors in inputs]
+    return [
+        tuple((F.values, tuple(tuple(a.items()) for a in F.actions)) for F in lz.sketch_models(sk, 2))
+        for sk in sketches
+    ]
 
 
 def flatness_setup(pkg):
@@ -298,13 +302,18 @@ def closure_run(pkg, inputs):
     return out
 
 
+UNIVERSAL_CASES = ("ONE reg", "ONE lext", "ARROW reg", "ARROW lext", "DISC2 reg", "DISC2 lext", "Z2 reg",
+                   "Z2 lext", "CHAIN3 reg", "SPLIT reg")
+
+
 def universal_setup(pkg):
-    cp = pkg["completions"]
-    bounds = cp.Bounds(enumeration_cap=40, max_iterations=1)
+    cp, cats = pkg["completions"], pkg["corpus"].all_categories()
+    bounds = cp.Bounds(max_iterations=1)
     cases = []
-    for C in pkg["corpus"].all_categories().values():
-        cases.append((C, cp.close(C, "reg", bounds), "reg"))
-        cases.append((C, cp.fam_f(C, bounds.max_arity, bounds), "lext"))
+    for name, flavor in map(str.split, UNIVERSAL_CASES):
+        C = cats[name]
+        E = cp.close(C, flavor, bounds) if flavor == "reg" else cp.fam_f(C, bounds.max_arity, bounds)
+        cases.append((C, E, flavor))
     return cases
 
 
