@@ -17,17 +17,19 @@ constructions it closes a set of objects under.  ``close`` adds what a
 listing builds.  ``verify_axioms`` is one table from check names to
 listings and witness formats, walked by one loop that looks every listed
 construction up, so the battery tests closure under the builder's own
-constructions and lists its pullbacks the same way.  An equivalence
-relation is listed once, as the pair ``(p, q)`` with ``p <= q``: its
-transpose has the same quotient.  Pullbacks of coproduct injections are
-certified by connected components before any is listed.
+limits, images and coproducts.  ``close`` lists an equivalence relation
+once, as the pair ``(p, q)`` with ``p <= q``: its transpose has the same
+quotient.  The battery lists congruences instead, certifies pullbacks of
+coproduct injections by connected components, and skips what the
+completion provably holds.
 """
 from __future__ import annotations
 
+import collections
 import itertools
 import random
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import FiberCapExceeded, NotWeaklyLex, ValidationError
 from .fincat import (
@@ -330,7 +332,9 @@ def _quotients(C: FiniteCategory, objects, scope, homs, stop):
 
     ``homs`` is asked for every pair of objects, but the pairs of a hom-set
     are walked only when its fiber sizes fit a relation
-    (:func:`_relation_fits`); no other hom-set holds one.
+    (:func:`_relation_fits`); no other hom-set holds one.  Only ``close``
+    walks this listing: the battery lists congruences instead
+    (:func:`_congruences`).
     """
     scope = range(len(objects)) if scope is None else scope
     for i in scope:
@@ -365,7 +369,9 @@ def _coproducts(C: FiniteCategory, objects, scope, stop):
 def _relation_fits(R: ps.Presheaf, M: ps.Presheaf) -> bool:
     """Can a pair ``R => M`` be jointly monic and reflexive?  Only if
     ``|M(a)| <= |R(a)| <= |M(a)|^2`` at every object ``a``: the pair embeds
-    ``R(a)`` in ``M(a) x M(a)``, and its image holds the diagonal."""
+    ``R(a)`` in ``M(a) x M(a)``, and its image holds the diagonal.  So
+    ``close`` walks the pairs of no other hom-set, and the battery lists
+    no congruence of ``M`` for ``R``."""
     return all(m <= r <= m * m for r, m in zip(R.fiber_sizes(), M.fiber_sizes()))
 
 
@@ -386,6 +392,98 @@ def _is_internal_equivalence(R: ps.Presheaf, M: ps.Presheaf, r1, r2) -> bool:
         ):
             return False
     return True
+
+
+def _congruences(M: ps.Presheaf, fits) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Every congruence of ``M`` whose relation's fiber sizes pass ``fits``,
+    once each, the diagonal first if it passes, then depth first.
+
+    A congruence is an equivalence relation on each fiber such that related
+    elements act to related elements.  It is written per fiber as each
+    element's class, the least index in the fiber of a member.  Its
+    relation's size at ``a`` is the sum of its squared class sizes there.
+
+    ``fits`` must be downward closed: passing sizes stay passing when any
+    of them shrinks.  A join of congruences of a presheaf is their join as
+    equivalence relations, and it only grows the sizes.  So every congruence
+    that passes is a join of the diagonal with principal congruences (those
+    generated by one pair) that pass, and it is reached by adding one of
+    them at a time.  Nothing is built but index tables of ``M``'s fibers.
+    """
+    C = M.base
+    idx = [{x: k for k, x in enumerate(fiber)} for fiber in M.values]
+    pulls = [[] for _ in range(C.n_objects)]  # at b: the action of each f: a -> b, as indices
+    for f in range(C.n_morphisms):
+        a, b = C.src[f], C.tgt[f]
+        if C.identity[b] != f:
+            pulls[b].append((a, [idx[a][M.actions[f][x]] for x in M.values[b]]))
+
+    def join(theta, pairs):
+        # union-find over theta's classes, merging each pair and what its
+        # actions send it to; the least index of a class is its root
+        parent = [list(classes) for classes in theta]
+
+        def root(a, k):
+            while parent[a][k] != k:
+                k = parent[a][k]
+            return k
+
+        while pairs:
+            a, k, l = pairs.pop()
+            rk, rl = root(a, k), root(a, l)
+            if rk != rl:
+                parent[a][max(rk, rl)] = min(rk, rl)
+                pairs.extend((c, act[k], act[l]) for c, act in pulls[a])
+        return tuple(tuple(root(a, k) for k in range(len(row))) for a, row in enumerate(parent))
+
+    diagonal = tuple(tuple(range(len(fiber))) for fiber in M.values)
+    if not fits(_relation_sizes(diagonal)):
+        return
+    yield diagonal
+    principals = {}  # as an ordered set
+    for a, fiber in enumerate(M.values):
+        for k, l in itertools.combinations(range(len(fiber)), 2):
+            pi = join(diagonal, [(a, k, l)])
+            if pi not in principals and fits(_relation_sizes(pi)):
+                principals[pi] = None
+    stack, seen = [diagonal], {diagonal}
+    while stack:
+        theta = stack.pop()
+        for pi in principals:
+            if all(theta[a][k] == theta[a][c] for a, row in enumerate(pi) for k, c in enumerate(row)):
+                continue  # pi is inside theta
+            both = join(theta, [(a, k, c) for a, row in enumerate(pi) for k, c in enumerate(row) if k != c])
+            if both not in seen and fits(_relation_sizes(both)):
+                seen.add(both)
+                stack.append(both)
+                yield both
+
+
+def _relation_sizes(theta) -> tuple[int, ...]:
+    """The fiber sizes of a congruence's relation (:func:`_congruences`)."""
+    return tuple(sum(n * n for n in collections.Counter(classes).values()) for classes in theta)
+
+
+def _partition(component: dict, fiber) -> tuple[int, ...]:
+    """The kernel of a map on ``fiber``, as each element's class: the least
+    index of an element with the same image (as in :func:`_congruences`)."""
+    first: dict = {}
+    return tuple(first.setdefault(component[x], k) for k, x in enumerate(fiber))
+
+
+def _relation(M: ps.Presheaf, theta) -> ps.Presheaf:
+    """The relation presheaf of a congruence ``theta`` of ``M``: the related
+    pairs of each fiber, acted on componentwise."""
+    C = M.base
+    values = tuple(
+        tuple((x, y) for k, x in enumerate(fiber) for l, y in enumerate(fiber) if classes[k] == classes[l])
+        for fiber, classes in zip(M.values, theta)
+    )
+    actions = tuple(
+        {(x, y): (M.actions[f][x], M.actions[f][y]) for x, y in values[C.tgt[f]]}
+        for f in range(C.n_morphisms)
+    )
+    return ps.Presheaf(C, values, actions, name=f"rel({M.name})", check=False)
 
 
 class _Builder:
@@ -615,31 +713,44 @@ def verify_axioms(E: ConcreteCompletion, scope: Optional[Sequence[int]] = None, 
     Every check lists the constructions it needs, as ``(key, make)`` pairs
     over ``scope`` with every transformation and no stop, and passes when
     ``E`` holds each one; the first one missing from ``E`` is the witness,
-    ``key`` formatted by the check's witness format.  Limits, quotients of
-    equivalence relations and coproducts are listed by the closure
-    operations ``close`` adds them with.  Equivalence relations are the
-    pairs ``(p, q)`` with ``p <= q`` of one hom-set: a relation and its
-    transpose have the same quotient, so the first failing pair with
-    ``p <= q`` is also the first failing ordered pair, and the witness
-    names only the two objects.
+    ``key`` formatted by the check's witness format.  Limits and coproducts
+    are listed by the closure operations ``close`` adds them with.
 
-    Two exact short-cuts list nothing that could be missing:
+    Certificates decide what a listing would walk at length, and a
+    construction ``E`` provably holds is not listed; neither changes a
+    verdict or a witness, because what is not listed is always found:
 
-    - Only hom-sets whose fiber sizes fit a relation
-      (:func:`_relation_fits`) are enumerated for the quotient listing.
-    - ``coproducts_universal`` is decided by components.  Along
-      ``h: X -> A+B`` the pullback of an injection is a union of connected
-      components of ``X`` (:func:`presheaf.components`).  An ``X`` is
-      certified when ``E`` holds one union per multiset of its components'
-      iso classes (:func:`_component_unions`), which is every union up to
-      iso.  The injection pullbacks are listed only along maps out of the
+    - **Effective equivalence relations.**  A pair ``R => M`` is jointly
+      monic with an equivalence relation as image iff ``R`` is iso to the
+      relation of a congruence of ``M`` (:func:`_congruences`).  For each
+      scoped ``R`` and ``M`` that fit (:func:`_relation_fits`), the
+      congruences of ``M`` whose relations are no larger than ``R`` are
+      searched one at a time, and one whose relation ``find_iso`` matches
+      to ``R`` is listed under ``(R, M)`` with the quotient it gives; no
+      hom-set is enumerated.  The witness names only the two objects, so
+      it is the one the pairs of ``hom(R, M)`` give.
+    - **Finite limits.**  When ``limits`` passes over every object, ``E``
+      holds every pullback (an equalizer of maps out of a product), so
+      ``regular_epi_stability`` lists nothing and ``kernel_pair_quotients``
+      lists only images.  Otherwise a pullback with a pointwise bijective
+      leg (iso to the other leg's source), the kernel pair of a pointwise
+      injective map (iso to its source) and the image of a pointwise
+      surjective one (its target) are not listed, nor a kernel pair or an
+      image with the source and kernel partition, or the target and image
+      subset, of one listed before.
+    - **Coproducts universal.**  Along ``h: X -> A+B`` the pullback of an
+      injection is a union of connected components of ``X``
+      (:func:`presheaf.components`).  An ``X`` is certified when ``E``
+      holds one union per multiset of its components' iso classes
+      (:func:`_component_unions`), which is every union up to iso.  The
+      injection pullbacks are listed only along maps out of the
       uncertified objects, and a kept subset of ``X`` looked up before is
-      not listed again, so the first missing one is the witness the full
-      listing gives.  Every pair's coproduct is still built first.
+      not listed again.  Every pair's coproduct is still built first.
     """
     flavor = flavor or E.flavor
     scope = list(scope) if scope is not None else list(range(len(E.objects)))
     base, objects = E.base, E.objects
+    checks: dict[str, dict] = {}
 
     def homs(i, j, _context):
         return E.homs(i, j)
@@ -647,22 +758,54 @@ def verify_axioms(E: ConcreteCompletion, scope: Optional[Sequence[int]] = None, 
     def never():
         return False
 
+    def limits_hold():
+        # products and equalizers of every object give every pullback; every
+        # flavor runs limits first
+        return checks["limits"]["passed"] and set(scope) == set(range(len(objects)))
+
     def pullbacks():
-        return (
-            ((i, j, i2), lambda e=e, g=g: ps.pullback(e, g).apex)
-            for i in scope for j in scope for e in E.homs(i, j) if e.is_pointwise_surjective()
-            for i2 in scope for g in E.homs(i2, j)
-        )
+        if limits_hold():
+            return
+        for i in scope:
+            for j in scope:
+                for e in E.homs(i, j):
+                    if not e.is_pointwise_surjective() or e.is_pointwise_injective():
+                        continue  # along a bijection the pullback is the other source
+                    for i2 in scope:
+                        for g in E.homs(i2, j):
+                            if not g.is_pointwise_bijective():
+                                yield (i, j, i2), lambda e=e, g=g: ps.pullback(e, g).apex
 
     def kernel_pairs():
+        kernels = not limits_hold()
+        looked_up = set()  # (source, kernel partition) and (target, image subset)
         for (i, j, k), image in _images(objects, scope, homs, never):
             t = E.homs(i, j)[k]
-            yield (i, j, "kernel pair of"), lambda t=t: ps.pullback(t, t).apex
-            yield (i, j, "coequalizer of the kernel pair of"), image
+            if kernels and not t.is_pointwise_injective():
+                kernel = (i, tuple(_partition(c, fiber) for c, fiber in zip(t.components, objects[i].values)))
+                if kernel not in looked_up:
+                    looked_up.add(kernel)
+                    yield (i, j, "kernel pair of"), lambda t=t: ps.pullback(t, t).apex
+            if not t.is_pointwise_surjective():
+                subset = (j, tuple(frozenset(c.values()) for c in t.components))
+                if subset not in looked_up:
+                    looked_up.add(subset)
+                    yield (i, j, "coequalizer of the kernel pair of"), image
 
-    def relation_homs(i, j, _context):
-        # _quotients walks no pair of a hom-set that cannot hold a relation
-        return E.homs(i, j) if _relation_fits(objects[i], objects[j]) else []
+    def relation_quotients():
+        # listed lazily, so the walk ends at its first missing quotient
+        for i in scope:
+            R = objects[i]
+            for j in scope:
+                M = objects[j]
+                if not _relation_fits(R, M):
+                    continue
+                for theta in _congruences(M, lambda s, r=R.fiber_sizes(): all(x <= y for x, y in zip(s, r))):
+                    if _relation_sizes(theta) == R.fiber_sizes() and ps.find_iso(_relation(M, theta), R) is not None:
+                        yield (i, j), lambda M=M, theta=theta: ps.quotient_presheaf(M, [
+                            (a, x, fiber[c]) for a, (fiber, classes) in enumerate(zip(M.values, theta))
+                            for x, c in zip(fiber, classes)
+                        ])[0]
 
     def injection_pullbacks():
         # every pair's coproduct is built before the first lookup, so a pair
@@ -699,9 +842,7 @@ def verify_axioms(E: ConcreteCompletion, scope: Optional[Sequence[int]] = None, 
         "limits": (lambda: _limits(base, objects, scope, homs, never, set()), _limit_detail),
         "regular_epi_stability": (pullbacks, "pullback of epi M{0}->M{1} along M{2}->M{1} missing".format),
         "kernel_pair_quotients": (kernel_pairs, "{2} M{0}->M{1} missing".format),
-        "effective_equivalence_relations": (
-            lambda: _quotients(base, objects, scope, relation_homs, never), "quotient of M{1} by M{0} missing".format,
-        ),
+        "effective_equivalence_relations": (relation_quotients, "quotient of M{1} by M{0} missing".format),
         "coproducts": (
             lambda: _coproducts(base, objects, scope, never),
             lambda *key: "coproduct M{} + M{}".format(*key) if key else "initial",
@@ -713,7 +854,6 @@ def verify_axioms(E: ConcreteCompletion, scope: Optional[Sequence[int]] = None, 
             injection_pullbacks, "pullback of injection {0} of M{1}+M{2} along M{3}->M{4} missing".format,
         ),
     }
-    checks: dict[str, dict] = {}
     for name in _FLAVOR_AXIOMS[flavor]:
         listing, witness = battery[name]
         missing = next((key for key, make in listing() if E.find_object(make()) is None), None)

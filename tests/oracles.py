@@ -450,6 +450,112 @@ def injection_pullbacks_witness(E, scope):
     return None
 
 
+def pullbacks_witness(E, scope):
+    """The witness of ``regular_epi_stability`` over ``scope``, or None, by
+    the full listing: for each pointwise surjective ``e: M{i} -> M{j}``,
+    each scoped ``i2`` and each ``g: M{i2} -> M{j}``, the pullback of ``e``
+    along ``g`` is looked up in ``E``, and the first one missing is named."""
+    from catengine import presheaf as ps
+
+    for i in scope:
+        for j in scope:
+            for e in E.homs(i, j):
+                if e.is_pointwise_surjective():
+                    for i2 in scope:
+                        for g in E.homs(i2, j):
+                            if E.find_object(ps.pullback(e, g).apex) is None:
+                                return f"pullback of epi M{i}->M{j} along M{i2}->M{j} missing"
+    return None
+
+
+def kernel_pairs_witness(E, scope):
+    """The witness of ``kernel_pair_quotients`` over ``scope``, or None, by
+    the full listing: for each ``t: M{i} -> M{j}`` in hom-set order, its
+    kernel pair and then its image are looked up in ``E``, and the first
+    one missing is named."""
+    from catengine import presheaf as ps
+
+    for i in scope:
+        for j in scope:
+            for t in E.homs(i, j):
+                if E.find_object(ps.pullback(t, t).apex) is None:
+                    return f"kernel pair of M{i}->M{j} missing"
+                if E.find_object(ps.epi_mono_factorize(t)[0].target) is None:
+                    return f"coequalizer of the kernel pair of M{i}->M{j} missing"
+    return None
+
+
+def relation_quotients_witness(E, scope):
+    """The witness of ``effective_equivalence_relations`` over ``scope``, or
+    None, by walking pairs of maps: for each scoped ``R``, ``M`` with
+    ``|M(a)| <= |R(a)| <= |M(a)|^2`` at every object (no other pair can be a
+    jointly monic, reflexive relation) and each pair ``r1``, ``r2`` of
+    ``hom(R, M)`` at positions ``p <= q`` that is jointly monic with an
+    equivalence relation as image, the quotient of ``M`` by that relation
+    is looked up in ``E``, and the first one missing is named."""
+    from catengine import presheaf as ps
+
+    base, objects = E.base, E.objects
+    for i in scope:
+        R = objects[i]
+        for j in scope:
+            M = objects[j]
+            if not all(m <= r <= m * m for r, m in zip(R.fiber_sizes(), M.fiber_sizes())):
+                continue
+            ts = E.homs(i, j)
+            for p, q in itertools.combinations_with_replacement(range(len(ts)), 2):
+                pairs = [
+                    (a, ts[p].components[a][x], ts[q].components[a][x])
+                    for a in range(base.n_objects) for x in R.values[a]
+                ]
+                if _is_equivalence(M, pairs) and E.find_object(ps.quotient_presheaf(M, pairs)[0]) is None:
+                    return f"quotient of M{j} by M{i} missing"
+    return None
+
+
+def _is_equivalence(M, pairs) -> bool:
+    """Are the ``(a, x, y)`` pairs distinct, and in each fiber of ``M`` a
+    reflexive, symmetric and transitive relation?"""
+    if len(set(pairs)) != len(pairs):
+        return False
+    rel = set(pairs)
+    return all((a, x, x) in rel for a, fiber in enumerate(M.values) for x in fiber) and all(
+        (a, y, x) in rel and all((a, x, z) in rel for (b, y2, z) in rel if (b, y2) == (a, y))
+        for (a, x, y) in rel
+    )
+
+
+def congruences_by_filter(M):
+    """Every congruence of ``M``, as each element's class (the least index
+    of a member) per fiber: every partition of every fiber, kept when
+    related elements act to related elements."""
+    C = M.base
+
+    def partitions(n):
+        # restricted growth: each element joins an earlier class or opens one
+        def grow(labels):
+            if len(labels) == n:
+                first: dict = {}
+                yield tuple(first.setdefault(c, k) for k, c in enumerate(labels))
+                return
+            for c in sorted(set(labels)) + [len(labels)]:
+                yield from grow(labels + [c])
+        return grow([])
+
+    out = []
+    for theta in itertools.product(*(partitions(len(fiber)) for fiber in M.values)):
+        index = [{x: k for k, x in enumerate(fiber)} for fiber in M.values]
+        if all(
+            theta[C.src[f]][index[C.src[f]][M.actions[f][x]]] == theta[C.src[f]][index[C.src[f]][M.actions[f][y]]]
+            for f in range(C.n_morphisms)
+            for k, x in enumerate(M.values[C.tgt[f]])
+            for l, y in enumerate(M.values[C.tgt[f]])
+            if theta[C.tgt[f]][k] == theta[C.tgt[f]][l]
+        ):
+            out.append(theta)
+    return out
+
+
 def virtual_limit_by_presheaf_limit(cat, diagram):
     """The weight of ``virtlim.virtual_limit(cat, diagram)`` built as the
     pointwise limit of a checked diagram of representables and checked

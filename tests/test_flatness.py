@@ -367,12 +367,13 @@ def test_trusted_completion_objects_revalidate(cats, capsys, trusted_built):
     # the completion-side twin: the CHAIN3 fam_f battery builds relabelled
     # copies and searches isomorphisms, and the full listing of its injection
     # pullbacks (which its certificate by components replaces) builds
-    # subpresheaves and searches hom-sets; the SPLIT Barr-exact battery takes
-    # images and quotients
+    # subpresheaves and searches hom-sets; the SPLIT Barr-exact and ARROW
+    # pretopos batteries take images, congruence relations and quotients
     from catengine import completions as cp
 
     assert cli.main(["verify-axioms", "--category", "CHAIN3", "--flavor", "fam_f"]) == 0
     assert cli.main(["verify-axioms", "--category", "SPLIT", "--flavor", "ex"]) == 0
+    assert cli.main(["verify-axioms", "--category", "ARROW", "--flavor", "pret"]) == 1
     capsys.readouterr()
     E = cp.fam_f(cats["CHAIN3"], 4)
     scope = [i for i, p in enumerate(E.provenance) if p.detail == "(empty)" or len(p.detail.split(",")) <= 2]
@@ -381,5 +382,6 @@ def test_trusted_completion_objects_revalidate(cats, capsys, trusted_built):
         ("Presheaf", "subpresheaf"): 1000, ("Presheaf", "relabel"): 10, ("Presheaf", "quotient_presheaf"): 10,
         ("NatTransformation", "quotient_presheaf"): 10, ("NatTransformation", "epi_mono_factorize"): 10,
         ("NatTransformation", "_nat_search"): 1000,  # the results of hom_set and find_iso
+        ("Presheaf", "_relation"): 10,
     }
     assert all(trusted_built[kind] >= n for kind, n in floors.items()), trusted_built
