@@ -394,22 +394,27 @@ def _is_internal_equivalence(R: ps.Presheaf, M: ps.Presheaf, r1, r2) -> bool:
     return True
 
 
-def _congruences(M: ps.Presheaf, fits) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Every congruence of ``M`` whose relation's fiber sizes pass ``fits``,
-    once each, the diagonal first if it passes, then depth first.
+def _congruences(M: ps.Presheaf, bound: Sequence[int]) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Every congruence of ``M`` whose relation has at most ``bound[a]``
+    elements at each object ``a``, once each, the diagonal first if it is
+    within the bound, then depth first.
 
     A congruence is an equivalence relation on each fiber such that related
     elements act to related elements.  It is written per fiber as each
     element's class, the least index in the fiber of a member.  Its
     relation's size at ``a`` is the sum of its squared class sizes there.
 
-    ``fits`` must be downward closed: passing sizes stay passing when any
-    of them shrinks.  A join of congruences of a presheaf is their join as
-    equivalence relations, and it only grows the sizes.  So every congruence
-    that passes is a join of the diagonal with principal congruences (those
-    generated by one pair) that pass, and it is reached by adding one of
-    them at a time.  Nothing is built but index tables of ``M``'s fibers.
+    A join of congruences of a presheaf is their join as equivalence
+    relations, and it only grows the sizes.  So every congruence within the
+    bound is a join of the diagonal with principal congruences (those
+    generated by one pair) within the bound, and it is reached by adding
+    one of them at a time.  Nothing is built but index tables of ``M``'s
+    fibers.
     """
+
+    def fits(theta):
+        return all(s <= b for s, b in zip(_relation_sizes(theta), bound))
+
     C = M.base
     idx = [{x: k for k, x in enumerate(fiber)} for fiber in M.values]
     pulls = [[] for _ in range(C.n_objects)]  # at b: the action of each f: a -> b, as indices
@@ -437,14 +442,14 @@ def _congruences(M: ps.Presheaf, fits) -> Iterator[tuple[tuple[int, ...], ...]]:
         return tuple(tuple(root(a, k) for k in range(len(row))) for a, row in enumerate(parent))
 
     diagonal = tuple(tuple(range(len(fiber))) for fiber in M.values)
-    if not fits(_relation_sizes(diagonal)):
+    if not fits(diagonal):
         return
     yield diagonal
     principals = {}  # as an ordered set
     for a, fiber in enumerate(M.values):
         for k, l in itertools.combinations(range(len(fiber)), 2):
             pi = join(diagonal, [(a, k, l)])
-            if pi not in principals and fits(_relation_sizes(pi)):
+            if pi not in principals and fits(pi):
                 principals[pi] = None
     stack, seen = [diagonal], {diagonal}
     while stack:
@@ -453,7 +458,7 @@ def _congruences(M: ps.Presheaf, fits) -> Iterator[tuple[tuple[int, ...], ...]]:
             if all(theta[a][k] == theta[a][c] for a, row in enumerate(pi) for k, c in enumerate(row)):
                 continue  # pi is inside theta
             both = join(theta, [(a, k, c) for a, row in enumerate(pi) for k, c in enumerate(row) if k != c])
-            if both not in seen and fits(_relation_sizes(both)):
+            if both not in seen and fits(both):
                 seen.add(both)
                 stack.append(both)
                 yield both
@@ -729,15 +734,12 @@ def verify_axioms(E: ConcreteCompletion, scope: Optional[Sequence[int]] = None, 
       to ``R`` is listed under ``(R, M)`` with the quotient it gives; no
       hom-set is enumerated.  The witness names only the two objects, so
       it is the one the pairs of ``hom(R, M)`` give.
-    - **Finite limits.**  When ``limits`` passes over every object, ``E``
-      holds every pullback (an equalizer of maps out of a product), so
-      ``regular_epi_stability`` lists nothing and ``kernel_pair_quotients``
-      lists only images.  Otherwise a pullback with a pointwise bijective
-      leg (iso to the other leg's source), the kernel pair of a pointwise
-      injective map (iso to its source) and the image of a pointwise
-      surjective one (its target) are not listed, nor a kernel pair or an
-      image with the source and kernel partition, or the target and image
-      subset, of one listed before.
+    - **Constructions ``E`` holds.**  A pullback with a pointwise
+      bijective leg (iso to the other leg's source), the kernel pair of a
+      pointwise injective map (iso to its source) and the image of a
+      pointwise surjective one (its target) are not listed, nor a kernel
+      pair or an image with the source and kernel partition, or the target
+      and image subset, of one listed before.
     - **Coproducts universal.**  Along ``h: X -> A+B`` the pullback of an
       injection is a union of connected components of ``X``
       (:func:`presheaf.components`).  An ``X`` is certified when ``E``
@@ -758,14 +760,7 @@ def verify_axioms(E: ConcreteCompletion, scope: Optional[Sequence[int]] = None, 
     def never():
         return False
 
-    def limits_hold():
-        # products and equalizers of every object give every pullback; every
-        # flavor runs limits first
-        return checks["limits"]["passed"] and set(scope) == set(range(len(objects)))
-
     def pullbacks():
-        if limits_hold():
-            return
         for i in scope:
             for j in scope:
                 for e in E.homs(i, j):
@@ -777,11 +772,10 @@ def verify_axioms(E: ConcreteCompletion, scope: Optional[Sequence[int]] = None, 
                                 yield (i, j, i2), lambda e=e, g=g: ps.pullback(e, g).apex
 
     def kernel_pairs():
-        kernels = not limits_hold()
         looked_up = set()  # (source, kernel partition) and (target, image subset)
         for (i, j, k), image in _images(objects, scope, homs, never):
             t = E.homs(i, j)[k]
-            if kernels and not t.is_pointwise_injective():
+            if not t.is_pointwise_injective():
                 kernel = (i, tuple(_partition(c, fiber) for c, fiber in zip(t.components, objects[i].values)))
                 if kernel not in looked_up:
                     looked_up.add(kernel)
@@ -800,7 +794,7 @@ def verify_axioms(E: ConcreteCompletion, scope: Optional[Sequence[int]] = None, 
                 M = objects[j]
                 if not _relation_fits(R, M):
                     continue
-                for theta in _congruences(M, lambda s, r=R.fiber_sizes(): all(x <= y for x, y in zip(s, r))):
+                for theta in _congruences(M, R.fiber_sizes()):
                     if _relation_sizes(theta) == R.fiber_sizes() and ps.find_iso(_relation(M, theta), R) is not None:
                         yield (i, j), lambda M=M, theta=theta: ps.quotient_presheaf(M, [
                             (a, x, fiber[c]) for a, (fiber, classes) in enumerate(zip(M.values, theta))
