@@ -17,11 +17,11 @@ constructions it closes a set of objects under.  ``close`` adds what a
 listing builds.  ``verify_axioms`` is one table from check names to
 listings and witness formats, walked by one loop that looks every listed
 construction up, so the battery tests closure under the builder's own
-limits, images and coproducts.  ``close`` lists an equivalence relation
-once, as the pair ``(p, q)`` with ``p <= q``: its transpose has the same
-quotient.  The battery lists congruences instead, certifies pullbacks of
-coproduct injections by connected components, and skips what the
-completion provably holds.
+limits, images, quotients and coproducts.  Both list the quotients of
+equivalence relations by congruences: ``close`` tries the first
+``hom_cap`` congruences of each pair of objects, the battery every one.
+The battery also certifies pullbacks of coproduct injections by connected
+components, and skips what the completion provably holds.
 """
 from __future__ import annotations
 
@@ -269,7 +269,8 @@ def _first_iso(objects: Sequence[ps.Presheaf], memo: dict, M: ps.Presheaf) -> tu
 # what ``make`` builds and ``verify_axioms`` looks it up, so the two walk one
 # list.  ``homs(i, j, context)`` gives the transformations
 # ``objects[i] -> objects[j]`` (the builder caps them and notes ``context``
-# when it does); ``stop()`` is tested before each pair of objects and each
+# when it does, and caps the congruences ``_quotients`` tries alike);
+# ``stop()`` is tested before each pair of objects and each
 # source object, where a full builder gives up.  Without a ``scope`` the
 # indices are a snapshot of ``objects`` taken when the listing starts (after
 # the terminal or initial object): what a consumer adds meanwhile waits for
@@ -325,16 +326,18 @@ def _images(objects, scope, homs, stop):
                 yield (i, j, k), lambda t=t: ps.epi_mono_factorize(t)[0].target
 
 
-def _quotients(C: FiniteCategory, objects, scope, homs, stop):
-    """The quotient ``(i, j, p, q)`` of ``objects[j]`` by the pair
-    ``homs(i, j)[p]``, ``[q]`` with ``p <= q``, when that pair is an
-    equivalence relation.
+def _quotients(objects, scope, capped, stop):
+    """The quotient ``(i, j, k)`` of ``objects[j]`` by the ``k``-th
+    congruence that :func:`_congruences` lists within the fiber sizes of
+    ``R = objects[i]``, when its relation is iso to ``R``.
 
-    ``homs`` is asked for every pair of objects, but the pairs of a hom-set
-    are walked only when its fiber sizes fit a relation
-    (:func:`_relation_fits`); no other hom-set holds one.  Only ``close``
-    walks this listing: the battery lists congruences instead
-    (:func:`_congruences`).
+    A pair ``R => M`` is jointly monic with an equivalence relation as image
+    iff ``R`` is iso to the relation of a congruence of ``M``, so these are
+    the quotients of every equivalence relation ``R => M``, and no hom-set
+    is enumerated.  Only ``R``, ``M`` that fit (:func:`_relation_fits`) are
+    searched.  ``capped(congruences, context)`` gives the congruences tried
+    for a pair of objects: the builder tries the first ``hom_cap`` and notes
+    ``context`` when there are more, the battery tries every one.
     """
     scope = range(len(objects)) if scope is None else scope
     for i in scope:
@@ -342,18 +345,15 @@ def _quotients(C: FiniteCategory, objects, scope, homs, stop):
             return
         R = objects[i]
         for j in scope:
-            ts = homs(i, j, f"relations M{i} => M{j}")
-            if not _relation_fits(R, objects[j]):
+            M = objects[j]
+            if not _relation_fits(R, M):
                 continue
-            for p, q in itertools.combinations_with_replacement(range(len(ts)), 2):
-                r1, r2 = ts[p], ts[q]
-                if _is_internal_equivalence(R, objects[j], r1, r2):
-                    pairs = [
-                        (a, r1.components[a][x], r2.components[a][x])
-                        for a in range(C.n_objects)
-                        for x in R.values[a]
-                    ]
-                    yield (i, j, p, q), lambda M=objects[j], pairs=pairs: ps.quotient_presheaf(M, pairs)[0]
+            for k, theta in enumerate(capped(_congruences(M, R.fiber_sizes()), f"relations M{i} => M{j}")):
+                if _relation_sizes(theta) == R.fiber_sizes() and ps.find_iso(_relation(M, theta), R) is not None:
+                    yield (i, j, k), lambda M=M, theta=theta: ps.quotient_presheaf(M, [
+                        (a, x, fiber[c]) for a, (fiber, classes) in enumerate(zip(M.values, theta))
+                        for x, c in zip(fiber, classes)
+                    ])[0]
 
 
 def _coproducts(C: FiniteCategory, objects, scope, stop):
@@ -369,29 +369,10 @@ def _coproducts(C: FiniteCategory, objects, scope, stop):
 def _relation_fits(R: ps.Presheaf, M: ps.Presheaf) -> bool:
     """Can a pair ``R => M`` be jointly monic and reflexive?  Only if
     ``|M(a)| <= |R(a)| <= |M(a)|^2`` at every object ``a``: the pair embeds
-    ``R(a)`` in ``M(a) x M(a)``, and its image holds the diagonal.  So
-    ``close`` walks the pairs of no other hom-set, and the battery lists
-    no congruence of ``M`` for ``R``."""
+    ``R(a)`` in ``M(a) x M(a)``, and its image holds the diagonal.  So the
+    quotient listing (:func:`_quotients`) searches no congruence of ``M``
+    for any other ``R``."""
     return all(m <= r <= m * m for r, m in zip(R.fiber_sizes(), M.fiber_sizes()))
-
-
-def _is_internal_equivalence(R: ps.Presheaf, M: ps.Presheaf, r1, r2) -> bool:
-    """Is the pair jointly monic with an equivalence relation as image?"""
-    for a in range(M.base.n_objects):
-        graph = [(r1.components[a][x], r2.components[a][x]) for x in R.values[a]]
-        if len(set(graph)) != len(graph):
-            return False
-        rel = set(graph)
-        elems = set(M.values[a])
-        if not all((x, x) in rel for x in elems):
-            return False
-        if not all((y, x) in rel for (x, y) in rel):
-            return False
-        if not all(
-            (x, z) in rel for (x, y) in rel for (y2, z) in rel if y == y2
-        ):
-            return False
-    return True
 
 
 def _congruences(M: ps.Presheaf, bound: Sequence[int]) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -399,10 +380,9 @@ def _congruences(M: ps.Presheaf, bound: Sequence[int]) -> Iterator[tuple[tuple[i
     elements at each object ``a``, once each, the diagonal first if it is
     within the bound, then depth first.
 
-    A congruence is an equivalence relation on each fiber such that related
-    elements act to related elements.  It is written per fiber as each
-    element's class, the least index in the fiber of a member.  Its
-    relation's size at ``a`` is the sum of its squared class sizes there.
+    A congruence is written as :func:`presheaf.congruence_join` writes it,
+    each element's class per fiber.  Its relation's size at ``a`` is the
+    sum of its squared class sizes there.
 
     A join of congruences of a presheaf is their join as equivalence
     relations, and it only grows the sizes.  So every congruence within the
@@ -415,32 +395,7 @@ def _congruences(M: ps.Presheaf, bound: Sequence[int]) -> Iterator[tuple[tuple[i
     def fits(theta):
         return all(s <= b for s, b in zip(_relation_sizes(theta), bound))
 
-    C = M.base
-    idx = [{x: k for k, x in enumerate(fiber)} for fiber in M.values]
-    pulls = [[] for _ in range(C.n_objects)]  # at b: the action of each f: a -> b, as indices
-    for f in range(C.n_morphisms):
-        a, b = C.src[f], C.tgt[f]
-        if C.identity[b] != f:
-            pulls[b].append((a, [idx[a][M.actions[f][x]] for x in M.values[b]]))
-
-    def join(theta, pairs):
-        # union-find over theta's classes, merging each pair and what its
-        # actions send it to; the least index of a class is its root
-        parent = [list(classes) for classes in theta]
-
-        def root(a, k):
-            while parent[a][k] != k:
-                k = parent[a][k]
-            return k
-
-        while pairs:
-            a, k, l = pairs.pop()
-            rk, rl = root(a, k), root(a, l)
-            if rk != rl:
-                parent[a][max(rk, rl)] = min(rk, rl)
-                pairs.extend((c, act[k], act[l]) for c, act in pulls[a])
-        return tuple(tuple(root(a, k) for k in range(len(row))) for a, row in enumerate(parent))
-
+    join = ps.congruence_join(M)
     diagonal = tuple(tuple(range(len(fiber))) for fiber in M.values)
     if not fits(diagonal):
         return
@@ -540,13 +495,17 @@ class _Builder:
         for key, make in items:
             self.guarded(make, Provenance(kind, detail(*key)))
 
-    def bounded_homs(self, i: int, j: int, context: str) -> list[ps.NatTransformation]:
+    def capped(self, items, context: str) -> list:
+        """The first ``hom_cap`` of ``items``; one more notes ``hom_cap at context``."""
         cap = self.bounds.hom_cap
-        ts = ps.hom_set(self.objects[i], self.objects[j], max_results=cap + 1)
-        if len(ts) > cap:
+        items = list(itertools.islice(items, cap + 1))
+        if len(items) > cap:
             self.note(f"hom_cap at {context}")
-            ts = ts[:cap]
-        return ts
+            del items[cap:]
+        return items
+
+    def bounded_homs(self, i: int, j: int, context: str) -> list[ps.NatTransformation]:
+        return self.capped(ps.hom_set(self.objects[i], self.objects[j], max_results=self.bounds.hom_cap + 1), context)
 
     def seed_representables(self):
         for a in range(self.base.n_objects):
@@ -589,7 +548,7 @@ def close(base: FiniteCategory, flavor: str, bounds: Bounds = Bounds()) -> Concr
         if flavor in ("reg", "pret"):
             b.take("image", _images(objects, None, homs, full), "M{} -> M{} ({})".format)
         if flavor in ("ex", "pret"):
-            b.take("quotient", _quotients(base, objects, None, homs, full), "M{1} by relation M{0} ({2},{3})".format)
+            b.take("quotient", _quotients(objects, None, b.capped, full), "M{1} by relation M{0} ({2})".format)
         if flavor in ("lext", "pret"):
             b.take("coproduct", _coproducts(base, objects, None, full),
                    lambda *key: "M{} + M{}".format(*key) if key else "empty")
@@ -718,8 +677,9 @@ def verify_axioms(E: ConcreteCompletion, scope: Optional[Sequence[int]] = None, 
     Every check lists the constructions it needs, as ``(key, make)`` pairs
     over ``scope`` with every transformation and no stop, and passes when
     ``E`` holds each one; the first one missing from ``E`` is the witness,
-    ``key`` formatted by the check's witness format.  Limits and coproducts
-    are listed by the closure operations ``close`` adds them with.
+    ``key`` formatted by the check's witness format.  Limits, quotients of
+    equivalence relations and coproducts are listed by the closure
+    operations ``close`` adds them with.
 
     Certificates decide what a listing would walk at length, and a
     construction ``E`` provably holds is not listed; neither changes a
@@ -727,13 +687,11 @@ def verify_axioms(E: ConcreteCompletion, scope: Optional[Sequence[int]] = None, 
 
     - **Effective equivalence relations.**  A pair ``R => M`` is jointly
       monic with an equivalence relation as image iff ``R`` is iso to the
-      relation of a congruence of ``M`` (:func:`_congruences`).  For each
-      scoped ``R`` and ``M`` that fit (:func:`_relation_fits`), the
-      congruences of ``M`` whose relations are no larger than ``R`` are
-      searched one at a time, and one whose relation ``find_iso`` matches
-      to ``R`` is listed under ``(R, M)`` with the quotient it gives; no
-      hom-set is enumerated.  The witness names only the two objects, so
-      it is the one the pairs of ``hom(R, M)`` give.
+      relation of a congruence of ``M``, so :func:`_quotients` lists,
+      uncapped, the quotient of each congruence whose relation
+      ``find_iso`` matches to ``R``, and no hom-set is enumerated.  The
+      witness names only the two objects, so it is the one the pairs of
+      ``hom(R, M)`` give.
     - **Constructions ``E`` holds.**  A pullback with a pointwise
       bijective leg (iso to the other leg's source), the kernel pair of a
       pointwise injective map (iso to its source) and the image of a
@@ -786,21 +744,6 @@ def verify_axioms(E: ConcreteCompletion, scope: Optional[Sequence[int]] = None, 
                     looked_up.add(subset)
                     yield (i, j, "coequalizer of the kernel pair of"), image
 
-    def relation_quotients():
-        # listed lazily, so the walk ends at its first missing quotient
-        for i in scope:
-            R = objects[i]
-            for j in scope:
-                M = objects[j]
-                if not _relation_fits(R, M):
-                    continue
-                for theta in _congruences(M, R.fiber_sizes()):
-                    if _relation_sizes(theta) == R.fiber_sizes() and ps.find_iso(_relation(M, theta), R) is not None:
-                        yield (i, j), lambda M=M, theta=theta: ps.quotient_presheaf(M, [
-                            (a, x, fiber[c]) for a, (fiber, classes) in enumerate(zip(M.values, theta))
-                            for x, c in zip(fiber, classes)
-                        ])[0]
-
     def injection_pullbacks():
         # every pair's coproduct is built before the first lookup, so a pair
         # over the fiber cap ends the battery whichever pullback is missing
@@ -836,7 +779,10 @@ def verify_axioms(E: ConcreteCompletion, scope: Optional[Sequence[int]] = None, 
         "limits": (lambda: _limits(base, objects, scope, homs, never, set()), _limit_detail),
         "regular_epi_stability": (pullbacks, "pullback of epi M{0}->M{1} along M{2}->M{1} missing".format),
         "kernel_pair_quotients": (kernel_pairs, "{2} M{0}->M{1} missing".format),
-        "effective_equivalence_relations": (relation_quotients, "quotient of M{1} by M{0} missing".format),
+        "effective_equivalence_relations": (
+            lambda: _quotients(objects, scope, lambda items, _context: items, never),
+            "quotient of M{1} by M{0} missing".format,
+        ),
         "coproducts": (
             lambda: _coproducts(base, objects, scope, never),
             lambda *key: "coproduct M{} + M{}".format(*key) if key else "initial",

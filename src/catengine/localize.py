@@ -167,7 +167,7 @@ def fractions(cong: Congruence) -> FractionsResult:
     host, members = cong.host, cong.members
     spans = _spans(host, members)
     span_idx = {sp: i for i, sp in enumerate(spans)}
-    uf = ps._UnionFind(len(spans))
+    uf = ps._UnionFind(range(len(spans)))
     for i, sp1 in enumerate(spans):
         for j in range(i + 1, len(spans)):
             if uf.find(i) == uf.find(j):

@@ -374,10 +374,14 @@ def limit(diagram: PresheafDiagram, base: Optional[FiniteCategory] = None, name=
 
 
 class _UnionFind:
-    """Union-find whose class representative is the least insertion index."""
+    """Union-find whose class representative is the least insertion index.
 
-    def __init__(self, n: int):
-        self.parent = list(range(n))
+    ``parent`` gives each index a parent no larger than it, a class's least
+    index being its own: ``range(n)`` for ``n`` singletons.
+    """
+
+    def __init__(self, parent: Iterable[int]):
+        self.parent = list(parent)
 
     def find(self, i: int) -> int:
         root = i
@@ -387,11 +391,13 @@ class _UnionFind:
             self.parent[i], i = root, self.parent[i]
         return root
 
-    def union(self, i: int, j: int) -> None:
+    def union(self, i: int, j: int) -> bool:
+        """Merge the classes of ``i`` and ``j``; were they two?"""
         ri, rj = self.find(i), self.find(j)
         if ri != rj:
             lo, hi = min(ri, rj), max(ri, rj)
             self.parent[hi] = lo
+        return ri != rj
 
 
 def _classes(items: list, pairs: list) -> tuple[tuple, dict]:
@@ -399,7 +405,7 @@ def _classes(items: list, pairs: list) -> tuple[tuple, dict]:
     the class representatives in list order, and each item's representative,
     the least member of its class in list order."""
     index = {it: i for i, it in enumerate(items)}
-    uf = _UnionFind(len(items))
+    uf = _UnionFind(range(len(items)))
     for x, y in pairs:
         uf.union(index[x], index[y])
     # Each parent index is at most its child's, so one pass in index order
@@ -557,45 +563,55 @@ def epi_mono_factorize(t: NatTransformation) -> tuple[NatTransformation, NatTran
     return NatTransformation(t.source, image, t.components, check=False), m
 
 
-def quotient_presheaf(M: Presheaf, pairs: Iterable[tuple[int, Hashable, Hashable]], name=None):
-    """Quotient by the congruence generated by ``(object, x, y)`` pairs.
+def congruence_join(M: Presheaf):
+    """The join of a congruence of ``M`` with pairs of its elements.
 
-    The generating relation is saturated under all actions before the
-    pointwise quotient is taken, so the result is again a presheaf.
+    A congruence is an equivalence relation on each fiber under which
+    related elements act to related elements.  It is written per fiber as
+    each element's class, the least index in the fiber of a member.  The
+    result ``join(classes, pairs)`` is the least congruence that holds the
+    congruence ``classes`` and each pair ``(a, k, l)`` of indices into
+    ``M.values[a]``.  It merges a worklist of pairs in one union-find per
+    fiber, and a pair that merges two classes adds to the worklist its
+    images under the action of each non-identity morphism into ``a``.
     """
     C = M.base
-    idx = [{x: i for i, x in enumerate(M.values[a])} for a in range(C.n_objects)]
-    ufs = [_UnionFind(len(M.values[a])) for a in range(C.n_objects)]
-    for (a, x, y) in pairs:
-        ufs[a].union(idx[a][x], idx[a][y])
-    changed = True
-    while changed:
-        changed = False
-        for f in range(C.n_morphisms):
-            a, b = C.src[f], C.tgt[f]
-            for i, x in enumerate(M.values[b]):
-                j = ufs[b].find(i)
-                if i != j:
-                    y = M.values[b][j]
-                    ii = idx[a][M.actions[f][x]]
-                    jj = idx[a][M.actions[f][y]]
-                    if ufs[a].find(ii) != ufs[a].find(jj):
-                        ufs[a].union(ii, jj)
-                        changed = True
-    values = tuple(
-        tuple(x for i, x in enumerate(M.values[a]) if ufs[a].find(i) == i)
-        for a in range(C.n_objects)
+    idx = [{x: k for k, x in enumerate(fiber)} for fiber in M.values]
+    pulls = [[] for _ in range(C.n_objects)]  # at b: the action of each f: a -> b, as indices
+    for f in range(C.n_morphisms):
+        a, b = C.src[f], C.tgt[f]
+        if C.identity[b] != f:
+            pulls[b].append((a, [idx[a][M.actions[f][x]] for x in M.values[b]]))
+
+    def join(classes: Sequence[Sequence[int]], pairs: Iterable[tuple[int, int, int]]) -> tuple[tuple[int, ...], ...]:
+        ufs = [_UnionFind(row) for row in classes]
+        work = list(pairs)
+        while work:
+            a, k, l = work.pop()
+            if ufs[a].union(k, l):
+                work.extend((c, act[k], act[l]) for c, act in pulls[a])
+        return tuple(tuple(uf.find(k) for k in range(len(uf.parent))) for uf in ufs)
+
+    return join
+
+
+def quotient_presheaf(M: Presheaf, pairs: Iterable[tuple[int, Hashable, Hashable]], name=None):
+    """Quotient by the congruence generated by ``(object, x, y)`` pairs
+    (:func:`congruence_join`), so the result is again a presheaf.  Each
+    class is named by its least element in fiber order."""
+    C = M.base
+    idx = [{x: k for k, x in enumerate(fiber)} for fiber in M.values]
+    theta = congruence_join(M)(
+        [range(len(fiber)) for fiber in M.values], [(a, idx[a][x], idx[a][y]) for a, x, y in pairs]
     )
-    rep = [
-        {x: M.values[a][ufs[a].find(i)] for i, x in enumerate(M.values[a])}
-        for a in range(C.n_objects)
-    ]
+    rep = [{x: fiber[c] for x, c in zip(fiber, classes)} for fiber, classes in zip(M.values, theta)]
+    values = tuple(tuple(fiber[k] for k, c in enumerate(classes) if c == k) for fiber, classes in zip(M.values, theta))
     actions = tuple(
         {x: rep[C.src[f]][M.actions[f][x]] for x in values[C.tgt[f]]}
         for f in range(C.n_morphisms)
     )
     Q = Presheaf(C, values, actions, name=name or f"{M.name}/~", check=False)
-    q = NatTransformation(M, Q, tuple(rep[a] for a in range(C.n_objects)), check=False)
+    q = NatTransformation(M, Q, tuple(rep), check=False)
     return Q, q
 
 
@@ -654,14 +670,26 @@ def relabel(M: Presheaf, name=None) -> tuple[Presheaf, tuple[dict, ...]]:
 
 
 def _element_colors(M: Presheaf) -> dict[tuple[int, Hashable], int]:
-    """Stable colors from iterated action-profile refinement."""
+    """Stable colors from iterated action-profile refinement.
+
+    An element starts with its object, and where the object has
+    non-identity endomorphisms, with whether each fixes the element:
+    refinement alone cannot tell a fixed point from a member of a cycle,
+    such as a point of a free Z2-set from one of a trivial one.
+    """
     C = M.base
     color = {(a, x): a for a in range(C.n_objects) for x in M.values[a]}
     incoming = [[] for _ in range(C.n_objects)]  # f: a -> b indexed at b
     outgoing = [[] for _ in range(C.n_objects)]
+    endos = [[] for _ in range(C.n_objects)]  # the actions of non-identity f: a -> a
     for f in range(C.n_morphisms):
         incoming[C.tgt[f]].append(f)
         outgoing[C.src[f]].append(f)
+        if C.src[f] == C.tgt[f] and C.identity[C.src[f]] != f:
+            endos[C.src[f]].append(M.actions[f])
+    for a, acts in enumerate(endos):
+        if acts:
+            color.update({(a, x): (a, *[act[x] == x for act in acts]) for x in M.values[a]})
     while True:
         sigs = {}
         for (a, x), c in color.items():

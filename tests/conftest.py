@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import contextlib
+import signal
+
 import pytest
 
 from catengine import corpus
@@ -19,6 +22,22 @@ def hom_functor(cat: fc.FiniteCategory, a: int) -> ps.SetFunctor:
         {m: cat.table[f][m] for m in values[cat.src[f]]} for f in range(cat.n_morphisms)
     )
     return ps.SetFunctor(cat, values, actions, name=f"hom({cat.objects[a]},-)")
+
+
+@contextlib.contextmanager
+def deadline(seconds: float, what: str):
+    """Raise ``TimeoutError`` in the body if it still runs after ``seconds``."""
+
+    def timeout(signum, frame):
+        raise TimeoutError(f"{what} still runs after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

@@ -2,13 +2,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import signal
 import subprocess
 import sys
 
 import pytest
 
 from catengine import cli
+from conftest import deadline
 
 
 @pytest.fixture()
@@ -87,7 +87,9 @@ def test_fam_battery_exit_codes(run):
 # ARROW, DISC2 and Z2 pret walked the pairs of hom-sets that fit a relation
 # (half a minute on ARROW, past five minutes on DISC2) until congruences
 # replaced them: ARROW pret's bytes are the walk's, and every DISC2 pret
-# witness but the relations' is the one its check gave run alone before
+# witness but the relations' is the one its check gave run alone before.
+# PAR ex ran away in close, which walked every pair of every hom-set as a
+# relation, until close listed congruences as the battery does
 ENDED_RUNAWAYS = {
     "PAR none": (1, {"limits": "product M0 x M23"}),
     "PAR lext": (1, {
@@ -111,6 +113,7 @@ ENDED_RUNAWAYS = {
         "coproducts_universal": "pullback of injection 1 of M0+M2 along M15->M5 missing",
     }),
     "Z2 pret": (3, "bound exceeded: value set of size 72 exceeds cap 64 in presheaf M12+M21\n"),
+    "PAR ex": (3, "bound exceeded: value set of size 128 exceeds cap 64 in presheaf M1xM18\n"),
 }
 # sha256 of exit code, newline and stdout
 RUNAWAY_DIGESTS = {
@@ -121,17 +124,9 @@ RUNAWAY_DIGESTS = {
 
 @pytest.mark.parametrize("case", sorted(ENDED_RUNAWAYS))
 def test_default_bound_batteries_end(case, capsys):
-    def timeout(signum, frame):
-        raise TimeoutError(f"verify-axioms {case} still runs after 20 s")
-
     name, flavor = case.split()
-    previous = signal.signal(signal.SIGALRM, timeout)
-    signal.alarm(20)
-    try:
+    with deadline(20, f"verify-axioms {case}"):
         code = cli.main(["verify-axioms", "--category", name, "--flavor", flavor])
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
     captured = capsys.readouterr()
     expected_code, witnesses = ENDED_RUNAWAYS[case]
     assert code == expected_code
@@ -142,6 +137,17 @@ def test_default_bound_batteries_end(case, capsys):
         assert {n: c["witness"] for n, c in checks.items() if not c["passed"]} == witnesses
     if case in RUNAWAY_DIGESTS:
         assert hashlib.sha256(f"{code}\n{captured.out}".encode()).hexdigest() == RUNAWAY_DIGESTS[case]
+
+
+@pytest.mark.parametrize("bounds", [[], ["--bounds", "max_objects=12,max_iterations=2"]], ids=["default", "small"])
+def test_par_ex_closure_ends(bounds, capsys):
+    # the pair walk took 1.5 million backtrack decisions at the small bounds
+    # and ran for minutes at the default ones
+    argv = ["build-completion", "--category", "PAR", "--flavor", "ex", "--construction", "close", *bounds]
+    with deadline(20, f"build-completion PAR ex/close {bounds}"):
+        code = cli.main(argv)
+    assert code == 0
+    assert any(o["provenance"]["kind"] == "quotient" for o in json.loads(capsys.readouterr().out)["objects"])
 
 
 def test_ultraproduct_command(run):

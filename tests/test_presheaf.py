@@ -14,7 +14,7 @@ from catengine import flatness as fl
 from catengine import presheaf as ps
 from catengine import virtlim as vl
 from catengine.errors import FiberCapExceeded, ValidationError
-from conftest import hom_functor
+from conftest import deadline, hom_functor
 from test_fincat import dag_categories
 import oracles
 
@@ -283,6 +283,44 @@ def test_find_iso_complete_on_small_fibers(cats):
             fast = ps.find_iso(M, N) is not None
             slow = oracles.all_pointwise_bijections_natural(M, N)
             assert fast == slow, (name, M.name, N.name)
+
+
+def test_find_iso_tells_fixed_points_from_cycles(cats):
+    # eight free Z2-sets, and seven beside two fixed points: refinement from
+    # the object alone gives every element one colour, and the search then
+    # tries the bijections of the free parts for minutes
+    Z2 = cats["Z2"]
+    Y, one = ps.yoneda(Z2, 0), ps.terminal_presheaf(Z2)
+    M, N = ps.coproduct(Z2, [Y] * 8).apex, ps.coproduct(Z2, [Y] * 7 + [one, one]).apex
+    with deadline(1, "find_iso(8Y, 7Y + 1 + 1)"):
+        assert ps.find_iso(M, N) is None and ps.find_iso(N, M) is None
+
+
+def test_find_iso_is_the_first_bijection_of_the_hom_set(cats):
+    # colours prune only branches that hold no isomorphism, so the search
+    # finds the first pointwise bijection of the hom-set, or none
+    drawn = collections.Counter()
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def check(data):
+        C = cats[data.draw(st.sampled_from(["Z2", "PAR", "ARROW"]))]
+        units = [ps.yoneda(C, a) for a in range(C.n_objects)]
+        units += [ps.terminal_presheaf(C), ps.constant_presheaf(C, ("0", "1"))]
+        pool = units + [ps.coproduct(C, [U, V]).apex for U, V in itertools.combinations_with_replacement(units, 2)]
+        pool = [M for M in pool if M.total_size() <= 6]
+        M = data.draw(st.sampled_from(pool))
+        # an isomorphic copy of M, its fibers listed in a drawn order
+        copy = ps.Presheaf(C, tuple(tuple(data.draw(st.permutations(fiber))) for fiber in M.values), M.actions)
+        N = data.draw(st.sampled_from([copy] + pool))
+        first = next((t for t in ps.hom_set(M, N) if t.is_pointwise_bijective()), None)
+        got = ps.find_iso(M, N)
+        assert (got is None) == (first is None)
+        assert got is None or got.components == first.components
+        drawn[got is not None] += 1
+
+    check()
+    assert drawn[True] and drawn[False], drawn
 
 
 def test_hom_set_counts(cats):
