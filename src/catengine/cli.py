@@ -83,9 +83,9 @@ def load_set_functor(path: str, cat: fc.FiniteCategory) -> ps.SetFunctor:
     return ps.SetFunctor(cat, values, tuple(actions), name=data.get("name", "F"))
 
 
-def parse_bounds(text: str | None, seed: int) -> cp.Bounds:
+def parse_bounds(text: str | None) -> cp.Bounds:
     """``key=int,...`` over the fields of ``Bounds``; anything else is an input error."""
-    kwargs = {"seed": seed}
+    kwargs = {}
     names = [f.name for f in dataclasses.fields(cp.Bounds)]
     if text:
         for part in text.split(","):
@@ -226,7 +226,7 @@ def cmd_check_flat(args) -> int:
 
 def cmd_build_completion(args) -> int:
     cat = load_category(args.category)
-    bounds = parse_bounds(args.bounds, args.seed)
+    bounds = parse_bounds(args.bounds)
     if args.flavor == "fam_f":
         E = cp.fam_f(cat, bounds.max_arity + 1, bounds)
     elif args.construction == "direct" and args.flavor == "reg":
@@ -246,7 +246,7 @@ def cmd_verify_axioms(args) -> int:
         E = cp.completion_from_json(json.loads(Path(args.completion).read_text()))
     else:
         cat = load_category(args.category)
-        bounds = parse_bounds(args.bounds, args.seed)
+        bounds = parse_bounds(args.bounds)
         if args.flavor == "fam_f":
             E = cp.fam_f(cat, 2 * bounds.max_arity, bounds)
         else:
@@ -254,7 +254,7 @@ def cmd_verify_axioms(args) -> int:
     scope = [int(s) for s in args.scope.split(",")] if args.scope else None
     if scope is None and E.flavor == "fam_f":
         # judge the battery on the region whose limits stay within bounds
-        arity = parse_bounds(args.bounds, args.seed).max_arity
+        arity = parse_bounds(args.bounds).max_arity
         scope = [
             i
             for i, p in enumerate(E.provenance)
@@ -269,7 +269,7 @@ def cmd_verify_axioms(args) -> int:
 
 def cmd_universal_property(args) -> int:
     cat = load_category(args.category)
-    bounds = parse_bounds(args.bounds, args.seed)
+    bounds = parse_bounds(args.bounds)
     if args.flavor == "lext" or args.flavor == "fam_f":
         E = cp.fam_f(cat, bounds.max_arity, bounds)
         flavor = "lext"
@@ -423,9 +423,9 @@ def cmd_report(args) -> int:
                 mode: vl.classify_completeness(cat, mode).to_json() for mode in vl.MODES
             },
             "representables_flat": all(
-                fl.is_flat_set_valued(_hom_functor(cat, a)).flat for a in range(cat.n_objects)
+                fl.is_flat(_hom_functor(cat, a)).flat for a in range(cat.n_objects)
             ),
-            "constant_singleton_flat": fl.is_flat_set_valued(ps.constant_set_functor(cat)).flat,
+            "constant_singleton_flat": fl.is_flat(ps.constant_set_functor(cat)).flat,
             "iso_localization_is_equivalence": lz.fractions(
                 lz.validate_congruence(cat, cat.isos(), "pullback")
             ).projection.is_equivalence(),

@@ -28,7 +28,7 @@ from __future__ import annotations
 import collections
 import itertools
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Iterator, Optional, Sequence
 
 from .errors import FiberCapExceeded, NotWeaklyLex, ValidationError
@@ -61,25 +61,17 @@ class Bounds:
     max_iterations: int = 4
     max_arity: int = 2
     hom_cap: int = 24
-    functor_value_bound: int = 3
     enumeration_cap: int = 20000
-    seed: int = 0
 
     def __post_init__(self):
-        if min(self.max_objects, self.max_fiber, self.max_iterations, self.max_arity, self.hom_cap) <= 0:
-            raise ValidationError("bounds must be positive")
+        for name, value in self.to_json().items():
+            if value <= 0:
+                raise ValidationError(f"bound {name} must be positive, got {value}")
+        if self.max_fiber > ps.FIBER_CAP:
+            raise ValidationError(f"max_fiber must be at most {ps.FIBER_CAP}, the presheaf fiber cap")
 
     def to_json(self) -> dict:
-        return {
-            "max_objects": self.max_objects,
-            "max_fiber": self.max_fiber,
-            "max_iterations": self.max_iterations,
-            "max_arity": self.max_arity,
-            "hom_cap": self.hom_cap,
-            "functor_value_bound": self.functor_value_bound,
-            "enumeration_cap": self.enumeration_cap,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -1036,7 +1028,7 @@ def universal_property_check(
     struct = completion_structure(E, flavor)
     flats = [
         F for F in _drawn(lz.models(lz.Sketch(C), value_bound, rng), cap, notes)
-        if fl.is_flat_set_valued(F).flat
+        if fl.is_flat(F).flat
     ]
     exacts = list(_drawn(lz.models(struct, value_bound, rng), cap, notes))
     failures: list[str] = []
@@ -1051,7 +1043,7 @@ def universal_property_check(
             failures.append(f"restriction of the extension differs from {F.values}")
     for G in exacts:
         GK = restriction(E, G)
-        if not fl.is_flat_set_valued(GK).flat:
+        if not fl.is_flat(GK).flat:
             restrictions_flat = False
             failures.append(f"restriction of structure-preserving functor {G.values} is not flat")
         if not _lan_of_restriction_agrees(E, G, GK):

@@ -878,12 +878,13 @@ def enumerate_functors(source: FiniteCategory, target: FiniteCategory, rng=None,
     which turns truncated enumeration into fair sampling.
 
     A caller that wants only some functors may say which cannot qualify.  An
-    object map that ``fits(omap)`` rejects is skipped once its pools are
-    drawn, so a seeded ``rng`` stream does not change.  Each ``(support,
-    test)`` of ``cuts`` is asked ``test(omap, mmap)`` as soon as every
-    morphism of ``support`` is assigned, with ``mmap`` the partial morphism
-    map; a false answer cuts the branch.  Both only remove functors: the
-    rest come in the same order.
+    object map that ``fits(omap)`` rejects is skipped before its pools are
+    drawn.  Each ``(support, test)`` of ``cuts`` is asked ``test(omap,
+    mmap)`` as soon as every morphism of ``support`` is assigned, with
+    ``mmap`` the partial morphism map; a false answer cuts the branch.  Both
+    only remove functors: without ``rng`` the rest come in the same order,
+    and with a seeded one the same functors come, in an order that depends
+    on ``fits``.
     """
     gens = _generators(source)
     n = source.n_morphisms
@@ -919,14 +920,14 @@ def enumerate_functors(source: FiniteCategory, target: FiniteCategory, rng=None,
         return seq
 
     for omap in itertools.product(*[choices(range(target.n_objects)) for _ in range(source.n_objects)]):
+        if fits is not None and not fits(omap):
+            continue
         pools = {}
         for m in gens:
             pools[m] = choices(target.hom(omap[source.src[m]], omap[source.tgt[m]]))
             if not pools[m]:
                 break
         else:
-            if fits is not None and not fits(omap):
-                continue
             identities = [(source.identity[a], target.identity[omap[a]]) for a in range(source.n_objects)]
             for mmap in backtrack(gens, pools.__getitem__, cut_or_composites if cuts else composites, identities):
                 yield FunctorData(source, target, omap, tuple(mmap[m] for m in range(n)), check=False)

@@ -128,59 +128,8 @@ def _sweep(cat: FiniteCategory, diagrams, bound: int = 0):
 # -- the definitional tests ---------------------------------------------------
 
 
-def is_flat_set_valued(F: ps.SetFunctor, diagrams=None, bound: int = 0) -> FlatVerdict:
-    """Definitional flatness for finite-set-valued functors.
-
-    For each swept diagram the colimit weighted by the cone presheaf must
-    biject with the actual limit of the composite, through the canonical
-    comparison.
-    """
-    C = F.base
-    for diagram in _sweep(C, diagrams, bound):
-        v = vl.virtual_limit(C, diagram)
-        coend = ps.weighted_colimit(v.weight, F)
-        lim_elems = _composite_limit(diagram, F.values, F.actions)
-        images = {}
-        for rep in coend.elements:
-            c, w, x = rep
-            img = tuple(F.actions[leg][x] for leg in w)
-            if img not in lim_elems:
-                raise ValidationError("internal: comparison map leaves the limit")
-            images[rep] = img
-        injective = len(set(images.values())) == len(coend.elements)
-        surjective = set(images.values()) == set(lim_elems)
-        if not (injective and surjective):
-            return FlatVerdict(
-                False,
-                FailingWeight(
-                    diagram.describe(),
-                    f"comparison {len(coend.elements)} -> {len(lim_elems)} is not a bijection",
-                ),
-                "definitional",
-            )
-    return FlatVerdict(True, None, "definitional")
-
-
-def is_flat_via_elements(F: ps.SetFunctor) -> FlatVerdict:
-    """Flatness via cofilteredness of the category of elements.
-
-    The verdict must agree with the definitional test, and that agreement
-    is asserted on every call.
-    """
-    verdict = is_cofiltered(elements_category(F))
-    definitional = is_flat_set_valued(F)
-    if bool(verdict) != definitional.flat:
-        raise ValidationError(
-            "internal: elements-category flatness disagrees with the definitional test"
-        )
-    failing = None
-    if not verdict:
-        failing = definitional.failing_weight or FailingWeight("elements", f"{verdict.reason} at {verdict.witness}")
-    return FlatVerdict(bool(verdict), failing, "elements")
-
-
 def is_flat(F, diagrams=None, bound: int = 0) -> FlatVerdict:
-    """Definitional flatness for a functor into a concrete target.
+    """Definitional flatness of a set-valued or concrete functor.
 
     For each swept diagram the weighted colimit of ``F`` by the diagram's
     cone presheaf must map isomorphically onto the pointwise limit of the
@@ -205,6 +154,26 @@ def is_flat(F, diagrams=None, bound: int = 0) -> FlatVerdict:
                 "definitional",
             )
     return FlatVerdict(True, None, "definitional")
+
+
+def is_flat_set_valued(F: ps.SetFunctor, diagrams=None, bound: int = 0) -> FlatVerdict:
+    """Definitional flatness of a finite-set-valued functor: ``is_flat``."""
+    return is_flat(F, diagrams, bound)
+
+
+def is_flat_via_elements(F: ps.SetFunctor) -> FlatVerdict:
+    """Flatness via cofilteredness of the category of elements.
+
+    The verdict must agree with the definitional test, and that agreement
+    is asserted on every call.
+    """
+    verdict = is_cofiltered(elements_category(F))
+    definitional = is_flat(F)
+    if bool(verdict) != definitional.flat:
+        raise ValidationError(
+            "internal: elements-category flatness disagrees with the definitional test"
+        )
+    return FlatVerdict(bool(verdict), definitional.failing_weight, "elements")
 
 
 # -- structural characterizations ---------------------------------------------

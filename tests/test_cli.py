@@ -334,6 +334,35 @@ def test_malformed_bounds_exit_two(bounds, capsys):
     assert err.startswith("input error: ") and "max_objects" in err
 
 
+# enumeration_cap=0 once passed universal-property vacuously (0 flat and 0
+# exact functors, exit 0), -1 drew without end, and a max_fiber above the
+# presheaf fiber cap acted as that cap; functor_value_bound and seed are
+# retired fields that no code read
+BAD_BOUNDS = [("enumeration_cap", 0), ("enumeration_cap", -1), ("max_fiber", 65),
+              ("functor_value_bound", 3), ("seed", 0)]
+
+
+@pytest.mark.parametrize("key, value", BAD_BOUNDS)
+def test_out_of_range_or_retired_bound_exits_two(key, value, capsys):
+    code = cli.main(["universal-property", "--category", "ONE", "--flavor", "reg", "--bounds", f"{key}={value}"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("input error: ") and key in captured.err
+
+
+@pytest.mark.parametrize("key, value", BAD_BOUNDS)
+def test_completion_file_with_bad_bound_exits_two(key, value, run, tmp_path, capsys):
+    comp = tmp_path / "lext.json"
+    assert run("build-completion", "--category", "ONE", "--flavor", "lext", "--out", str(comp))[0] == 0
+    data = json.loads(comp.read_text())
+    data["bounds"][key] = value
+    comp.write_text(json.dumps(data))
+    code = cli.main(["verify-axioms", "--completion", str(comp)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("input error: ") and key in captured.err and "Traceback" not in captured.err
+
+
 def test_check_flat_rejects_non_functor_file(run, tmp_path):
     # the action of s must square to the identity on Z2; a constant one does not
     f = tmp_path / "bad.json"

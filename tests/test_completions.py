@@ -37,6 +37,19 @@ def fam_scope(E, size=2):
     ]
 
 
+def test_bounds_out_of_range_are_rejected(cats):
+    # a max_fiber above the presheaf fiber cap once acted as that cap:
+    # fam_f(Z2, 34, Bounds(max_fiber=100)) refused its 66-element family
+    # as a max_fiber event
+    with pytest.raises(ValidationError, match="max_fiber"):
+        cp.Bounds(max_fiber=ps.FIBER_CAP + 1)
+    for value in (0, -1):
+        with pytest.raises(ValidationError, match="enumeration_cap"):
+            cp.Bounds(enumeration_cap=value)
+    E = cp.fam_f(cats["Z2"], 32, cp.Bounds(max_fiber=ps.FIBER_CAP, max_objects=40))
+    assert max(max(M.fiber_sizes()) for M in E.objects) == ps.FIBER_CAP
+
+
 def test_close_one_lext_is_finite_sets(cats):
     E = cp.close(cats["ONE"], "lext", cp.Bounds(max_objects=5, max_fiber=3, max_iterations=3))
     sizes = sorted(M.total_size() for M in E.objects)
@@ -560,42 +573,44 @@ def test_repeated_lookup_skips_find_iso(cats, monkeypatch):
         assert len(calls) - before == first
 
 
-# sha256 of exit code, newline and stdout, computed before lookups were memoised
+# sha256 of exit code, newline and stdout, computed before lookups were memoised;
+# every build-completion case was pinned again when Bounds dropped the two
+# fields no code read (functor_value_bound and seed) from its report
 CLI_DIGESTS = {
-    "build-completion ONE reg/direct": "1d38272366f9ace4da352e8171009976514c7e056287b7dce28c63a449249e93",
-    "build-completion ONE pret/direct": "6cbba44f122dbab76704bc688576f493f916ea542c3257acdcce4a24dee8648c",
-    "build-completion ONE lext/close": "84e6a443e37feb6b2dc641dbf8e9e175e9e7d0f4f85782258b2ff12adf1a07ce",
-    "build-completion ONE fam_f/direct": "28e372139a12040d4e752151e6f18188a9ee2bd546869cbd85b60fb3f2aeb34c",
+    "build-completion ONE reg/direct": "a2bfe55a044bfe8de66218f3d9f3a8e202ef8bd222750bf6c941f183c3c366f3",
+    "build-completion ONE pret/direct": "cb315de994cc49d9967507c09030d0baa69a95dc1a05f8f0ca34f5bc5ad238b8",
+    "build-completion ONE lext/close": "9e7564f9a836d7da89f978511cbbf76ab0d726ba3293f96e3881ccac6ba6e37e",
+    "build-completion ONE fam_f/direct": "eeac84618ea504f2cfb96e573edda654939b7e79d7b5b127bb23b04fa1fdb327",
     "verify-axioms ONE fam_f": "8238844bc5687e2190c5154f7147fe70980040b53867650372fc8a469dcc30ef",
-    "build-completion ARROW reg/direct": "ffe8a381bada13275b8cfb4fecad2fe9cf1612e2fc04391c0f84bd1100faff9a",
-    "build-completion ARROW pret/direct": "ec6c542c35290e5b19eb6e74b890200f3f8d5f1040ad69a564450b41a8651a07",
-    "build-completion ARROW lext/close": "5f5fa729c5b53cb4b411b9e130ed7967b21fc9efd479ca4b6d0e1ea218083bc9",
-    "build-completion ARROW fam_f/direct": "64977fb14b7baef87299d483d74ec7abb39e8942370e803adfdcb1f6bdce6c9c",
+    "build-completion ARROW reg/direct": "15f926c7db892fe07afa9a40b42a576068cb2d6625f6046a59280992b2687897",
+    "build-completion ARROW pret/direct": "18dcad23e05e5ea8d0953a55b1f20af8646170e35277ce1e195bd91fcb89b6e0",
+    "build-completion ARROW lext/close": "9bca60deca586d5d2e83857b0a2dd11f93b236d855cf023bdf8d963ee5814773",
+    "build-completion ARROW fam_f/direct": "347dd4d5d9d6d2b6fae8a196636378e091af47cc44501554214cc11fa564e497",
     "verify-axioms ARROW fam_f": "ca32796edab0734cf31c70779466aeed0b19ef4403114b6ec71291916adf1d70",
     "build-completion PAR reg/direct": "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
-    "build-completion PAR pret/direct": "e3663011b1d287a952bf529da9dd596c49d8ac8c06683829920e8b0a9a1df738",
-    "build-completion PAR lext/close": "4701c3077f7b093ea4f496e31ad3dfc2e9b52c2e56a71c763491f34d89ba576b",
-    "build-completion PAR fam_f/direct": "594c76aab00a1146ba5dc471f17a148a382419f77c07d5fe23ab620a7e611f07",
+    "build-completion PAR pret/direct": "4f68768472f4445766f18cd4e30018ec0de062285e3f6ca1ad865bfc9069dac8",
+    "build-completion PAR lext/close": "e9c4962fab5b2ffbe0cd15ac0bbc063a3f60d022fd14ea172d5da39e1506383d",
+    "build-completion PAR fam_f/direct": "9a3f290e3bb1545dfc0e033c6cdcb3c98180bad05e514e8e731485ac2fc7c35c",
     "verify-axioms PAR fam_f": "f844973e43f62277a3e9c1277b8894a0eae3394e7052bc6706da1c8aec9771bc",
     "build-completion DISC2 reg/direct": "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
-    "build-completion DISC2 pret/direct": "b4ade0ca224fa3c88488a5ecdbbcef90c943a3e193914e95b780452c4e47189e",
-    "build-completion DISC2 lext/close": "2c13a6e4b4f95decd5fa3a9f7694b608fcd3fdca80835e37cdd4ac578384a888",
-    "build-completion DISC2 fam_f/direct": "ebd088aebb352cd9c65560ce55d574b868190df26b86d0050cacacf0cf01a7ed",
+    "build-completion DISC2 pret/direct": "bb462cd0b5ea9a17c08a0bc05e9f2a222ddbbbe09d549e0d8060179e7bff9c42",
+    "build-completion DISC2 lext/close": "a29dbfbdc6edf2fe9fedc4382c09b794e594ef72fd42b416c83a564ef5e538b8",
+    "build-completion DISC2 fam_f/direct": "c523f8e5b30d49b701bbd843d6dfdd42925a4e4b3824fbfc5fc559e10e4e4745",
     "verify-axioms DISC2 fam_f": "b07586278270ea64d5683e5c05cad0d80bb6bbd75b5b4f450dbed0908d42fc9f",
     "build-completion Z2 reg/direct": "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
-    "build-completion Z2 pret/direct": "896168f438e3ddb8a5ff99ee05c40c3455901bcf3cfcad2892f289492bcef8d1",
-    "build-completion Z2 lext/close": "74e074c30d8eb06e39e96302af0d28acb8e16a2d39215cc961a4d76841cfa29b",
-    "build-completion Z2 fam_f/direct": "1e62fe0dc4361056126a1df43934c0deb7ec20c5ca195707abfc01115f0c2444",
+    "build-completion Z2 pret/direct": "e1ceaf4fde222de6ea646383244afa7c99086a7b81eab13128c40e8aaf74954a",
+    "build-completion Z2 lext/close": "70a088a96d58c3edc4c4d55c166439e479e9a8984a3cc2e2f9297bebeec5fc9e",
+    "build-completion Z2 fam_f/direct": "3c66f5f366f8e62b6fdca1b9b637c925549307e40254ddac709df9e9904b29ca",
     "verify-axioms Z2 fam_f": "dedc6363c45e76c86e83cc7dff0a9b7fcb9188b7b79c5d43f66c6b8e10022ab4",
-    "build-completion CHAIN3 reg/direct": "8d690134cb8c1b6267bbbf151997c92b96c18d43d023a43fd17d7149f7303a2d",
-    "build-completion CHAIN3 pret/direct": "ba8aaab24d40df48200b20a56174213d5dd355e25a83e66cf9b493a0fbfba0fe",
-    "build-completion CHAIN3 lext/close": "693ca485ba2653652ce068b74b800d4133c266beed717227a343bc5e195e1f81",
-    "build-completion CHAIN3 fam_f/direct": "280440d7162578fd727802dfc2faafa8e681e9b943f0368c177bdb1073a239ff",
+    "build-completion CHAIN3 reg/direct": "9a7f06868c4642a0c16e90e7eb67605f41625780da271068b49656d8524a3159",
+    "build-completion CHAIN3 pret/direct": "7ef443928053429fc9afdc47fff1860ebff25d9550c094d5d425f139b1c306a5",
+    "build-completion CHAIN3 lext/close": "1c9a76090697fb2b60635ebc1669f5e47cc5322d75c033bac7b1c57969163b44",
+    "build-completion CHAIN3 fam_f/direct": "97607bd210e9cebfac75523cc8e8829a304a7ed0c05112ff857dbfbff23e591f",
     "verify-axioms CHAIN3 fam_f": "42cdc00864d1fded6e8a42459044fa26eea972bb5a027de55a9dd7ee13f962f1",
     "build-completion SPLIT reg/direct": "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
-    "build-completion SPLIT pret/direct": "21f714b8ab701c5eca084f744237ae74ca1ae23f5c8bc3b42a5bafe24bd6c8c0",
-    "build-completion SPLIT lext/close": "6bd061a52e39ca04adb8d5ffbb0c353606125eb8b95d1b58b4098b5deb3de224",
-    "build-completion SPLIT fam_f/direct": "83f17d5cee7b280d166fb54c110ee36f68a6ceb5fd4f6956a55db6627e28dd0c",
+    "build-completion SPLIT pret/direct": "24932aee1b7f079f83e7dcf353b90bcad18377740d8cd73e67dc42d8167683e2",
+    "build-completion SPLIT lext/close": "2bb22e7a589c504215de7c31bce08f2456c96648e4f4da8ad7763514f7dded8d",
+    "build-completion SPLIT fam_f/direct": "86edb0cceccadba39cf94e8146879d41e98293ee3770ae4f3d87669632c20162",
     "verify-axioms SPLIT fam_f": "a47b796b03c989d0db075d7c4b856c615cb7ba742e2d7b2161a4461d1a35d14f",
     # the battery and the closure of every other flavour at small bounds
     # (each case that took under 2 s), computed before the two listed the
@@ -605,63 +620,63 @@ CLI_DIGESTS = {
     # congruences: both note fewer hom_cap events, and Z2 ex holds the
     # quotient that capped hom-sets had hidden
     "verify-axioms ONE none max_objects=12,max_iterations=2": "3e06c24b73e030e6d45f3baaa34997b28bd06cfbc404f4bbceefedac6f2a8b3f",
-    "build-completion ONE none/close max_objects=12,max_iterations=2": "ee8890cc7b6075e34d8db44ed331ed99b197f46fcc87d2e129b91d771f69f5ba",
+    "build-completion ONE none/close max_objects=12,max_iterations=2": "b50a67d35f261e7521d57f28db2905e370854630935d089c74067e0e30e8982c",
     "verify-axioms ONE reg max_objects=12,max_iterations=2": "6c1400413c18555e5db86166e8923ec720dac7e0937e743ff11b895a4babfa0e",
-    "build-completion ONE reg/close max_objects=12,max_iterations=2": "74cc4e5ed143dde09b6eac1e583b4e42adceee85ac7a00cf3ea1dae506494f30",
+    "build-completion ONE reg/close max_objects=12,max_iterations=2": "6362b385f0487247b148025062e79fbe4a45840adfc9f85062cf31ef89d86ace",
     "verify-axioms ONE ex max_objects=12,max_iterations=2": "a69159ba64dba322aac74823f84545617d94f15577e726fbb782879ec752a4de",
-    "build-completion ONE ex/close max_objects=12,max_iterations=2": "ffefc9b60a90895ea102a82df87196f83321a292337c8fdbffae43e1b4daa148",
-    "build-completion ONE lext/close max_objects=12,max_iterations=2": "6c9203ee65d727baa526a5aa8226c00324bf0df3d13a5d187e7a6f96ce980a50",
-    "build-completion ONE pret/close max_objects=12,max_iterations=2": "1304f337318f071e30b96020bd895874061fee25a90f040f1c348162836c24a0",
+    "build-completion ONE ex/close max_objects=12,max_iterations=2": "c0faf0ce9141d5b5fdb5043a886696004ff16ffaad4dc954e43f5979c3f4f4c2",
+    "build-completion ONE lext/close max_objects=12,max_iterations=2": "d5ae955d695e9deb4f46dd66370e0a08dbe139a6c017e5687e84352aa5db4893",
+    "build-completion ONE pret/close max_objects=12,max_iterations=2": "a40f266693d63435142ade39197a1a6b507c4b97328a3e2df75f840e378cf1a2",
     "verify-axioms ARROW none max_objects=12,max_iterations=2": "27725e8e7b6d0f76dbdaa28bb892518d2bc10dd2397276f0515f0054cc4d2adb",
-    "build-completion ARROW none/close max_objects=12,max_iterations=2": "4849feb70891c771e93aad8863808016a50e901705481a8cf17d8b5ef67b04f1",
+    "build-completion ARROW none/close max_objects=12,max_iterations=2": "a1b0b2d654de30cf291b5560170b51542d7c4a443712f0a3ac607d9086878133",
     "verify-axioms ARROW reg max_objects=12,max_iterations=2": "94ee3b9b39791e27f0e9e35e0382bd980eae87fbb2c4f97078eb1a22f64d0477",
-    "build-completion ARROW reg/close max_objects=12,max_iterations=2": "a84628411e8eb240b4a83f8bda7c0f36f36d7e7dd05e64ff1a39a9da91304efd",
+    "build-completion ARROW reg/close max_objects=12,max_iterations=2": "2ff8f2d9cc8b41402b761af8a5f860157b66f340d6bebf629b4a0d2031267939",
     "verify-axioms ARROW ex max_objects=12,max_iterations=2": "a9f5293f80d19edbf0001ee51c8c09caddc519d039cdb246d66017e75ed8e391",
-    "build-completion ARROW ex/close max_objects=12,max_iterations=2": "dd5b40de9acc3f24c12403461d0f1f7f84e60da9cb46c3b24af734afe6c1c79c",
+    "build-completion ARROW ex/close max_objects=12,max_iterations=2": "3144c37596b2ad9ee367c242b52d2573031175a0f5fb3980f53020bb55b51e3b",
     "verify-axioms ARROW lext max_objects=12,max_iterations=2": "8f49419518463d11c963ebfa05a224f3fa864897c45b8c3564f93e61d6046ccb",
-    "build-completion ARROW lext/close max_objects=12,max_iterations=2": "0801079c5ba67c94eba53710446568dd0d7ff7298fe6e7680e8d373d8d41c01f",
+    "build-completion ARROW lext/close max_objects=12,max_iterations=2": "7753eba642682e44065bd2623c4f0a5dfbbcdeb69ac46363e2af47b1302e14eb",
     "verify-axioms ARROW pret max_objects=12,max_iterations=2": "13fc31ab3e07ef22b2c589e63b2e9c64803226aa45c97cb4402eb3ebdab14128",
-    "build-completion ARROW pret/close max_objects=12,max_iterations=2": "3f826fa4ae486f0282e02c33479e5f275e0cd27c7e5ff2b10efa800c56535057",
-    "build-completion PAR none/close max_objects=12,max_iterations=2": "480c119b89feefac1e615ec1c30aa3fc198490a38150e47250e94489250a82fc",
-    "build-completion PAR reg/close max_objects=12,max_iterations=2": "87d3f468b1a3414cfb5558b93f5177cd70110edc6d46f6d5d659c7efc6a2fb12",
+    "build-completion ARROW pret/close max_objects=12,max_iterations=2": "0a5572c45f1261213c955b8365cad9846bdacdeff104412297434849d5305b67",
+    "build-completion PAR none/close max_objects=12,max_iterations=2": "57a4d1184687798646407d325c58860257284ab0c58782e3e2211789574c7197",
+    "build-completion PAR reg/close max_objects=12,max_iterations=2": "b6470e7fed0a096ade1f5b8282146b78be13c5711c14d96e0465912d7c1e4611",
     "verify-axioms PAR lext max_objects=12,max_iterations=2": "5aa30a8ac294780eef2f833d07ddffcb8d80b5034cb01d1b0dd1fc4c369b71a9",
-    "build-completion PAR lext/close max_objects=12,max_iterations=2": "90ec98a3df69e32abd3f2811ade7f588c407ab99180957bcf7f9bc4ea9f96f5d",
+    "build-completion PAR lext/close max_objects=12,max_iterations=2": "b3036ac46c40b8ba1f8fd70b1245b25287642b4a3bf2d824c64e8dd1318befda",
     "verify-axioms PAR pret max_objects=12,max_iterations=2": "8b845a78fed413ae4621c59535a6b46f517501094c0c8fcb700706bcd67f46c2",
-    "build-completion PAR pret/close max_objects=12,max_iterations=2": "81a9599e02632056ad33f8194ae6021c916b6ef576b33a4ede3aea485ba20f60",
+    "build-completion PAR pret/close max_objects=12,max_iterations=2": "b6066706dc176dfeb702d9c0940553a22bd869e608bf66a9b5c14f6b1fd83124",
     "verify-axioms DISC2 none max_objects=12,max_iterations=2": "0d812050046f7a041cf6dfb29361de6cc9f984dd97bb15df1aded23e4b0a060a",
-    "build-completion DISC2 none/close max_objects=12,max_iterations=2": "51167b7ad46a7b9f01b4cce99a8ab983fbc68d03ce259c9c4dc5a3e8161231df",
+    "build-completion DISC2 none/close max_objects=12,max_iterations=2": "ef941c284ea8283910cd8eeee6b0edea1e7a2dc1560accb3736ed730e75e0d66",
     "verify-axioms DISC2 reg max_objects=12,max_iterations=2": "0113315ffa5905958afc1225deb2e0bb3102c1614495335886f10fe65b380839",
-    "build-completion DISC2 reg/close max_objects=12,max_iterations=2": "13d7c52c14334f824c3a045e1697b64312b08722e027b05bc52a89cca7ca731b",
+    "build-completion DISC2 reg/close max_objects=12,max_iterations=2": "37541c7df580a821939073748ea94137eaffa4bd3fc4c60bf1fdb44747d8ca37",
     "verify-axioms DISC2 ex max_objects=12,max_iterations=2": "b12d45743ccea36f0c0cf2635a22a7799f977bbab2d9303526f9af5ef8ac8433",
-    "build-completion DISC2 ex/close max_objects=12,max_iterations=2": "70351124d9834ddc4fc7b8af2467f85907ff19d1cbb154c00ef0d8ea2ae0b5a2",
+    "build-completion DISC2 ex/close max_objects=12,max_iterations=2": "cbb45c2777dc9e769b2434568248f8eb8b3b959db7faccad40aa87f4d3b815bb",
     "verify-axioms DISC2 lext max_objects=12,max_iterations=2": "8e9b11b413bedd80da5495b69755ecdc60012f5fb2e51ad42b0d3db821617a76",
-    "build-completion DISC2 lext/close max_objects=12,max_iterations=2": "ab721c3bb08625320bfbad7be99da85ab8ee20cbc3fd00cad136f235ddfd251c",
-    "build-completion DISC2 pret/close max_objects=12,max_iterations=2": "a8256fa1d4e0c4290899a3d90fdb44d2ab63536dc5c8a0a0e4f6a3984ed2381a",
-    "build-completion Z2 none/close max_objects=12,max_iterations=2": "b3490f04a16d7557de287286e3b819734797420146d70d5b826e7a06045c20a1",
-    "build-completion Z2 reg/close max_objects=12,max_iterations=2": "635cfe63cc497d7c99d1425435734e0bf32223a1e6d91a450514e2e8d138c6d1",
-    "build-completion Z2 ex/close max_objects=12,max_iterations=2": "da0884a0173c420744c2a9fdfc4ba29ca89e754ef7824184c8711ecc0ce24319",
-    "build-completion Z2 lext/close max_objects=12,max_iterations=2": "bb13f5696a639548e747d471415bd4fa9430f15cba30d845b8189a33e235d71f",
-    "build-completion Z2 pret/close max_objects=12,max_iterations=2": "a387a02e82d51a3085b55743623caac8d0ca4d5cea6e74350a94fac40c5fc152",
+    "build-completion DISC2 lext/close max_objects=12,max_iterations=2": "d573355974775c1400974967bbeae11de6cd196eb9c9589bf2e2bdf34bf9616e",
+    "build-completion DISC2 pret/close max_objects=12,max_iterations=2": "ad35ba8fd13bb63a6e3bac8f5514ccfe578c7e4ab715334250d4226cc62d3513",
+    "build-completion Z2 none/close max_objects=12,max_iterations=2": "cdb2f76bf1eff36ade0c32bc94b74c3baef6f3af2d7b0fe772be56c38353061f",
+    "build-completion Z2 reg/close max_objects=12,max_iterations=2": "72849b3451f8593fcf353a66912da572f0bb746d2e75cc9101e99c8eae95e19c",
+    "build-completion Z2 ex/close max_objects=12,max_iterations=2": "df833334354143b45c07f7001d4e8981d876ab8ae93166cbad6318a59ddf0546",
+    "build-completion Z2 lext/close max_objects=12,max_iterations=2": "ba75d972d06dd94023f24905215645311f2bdf4280546003ec037daf09678c65",
+    "build-completion Z2 pret/close max_objects=12,max_iterations=2": "e33266dd244aa4a703ccfe60ae0cd3962c58ac18d12520bd744ced0a23358aa0",
     "verify-axioms CHAIN3 none max_objects=12,max_iterations=2": "da13ab16f23f86ba40912fd0426e721ed67d0685417d25259f9f7f32940e7444",
-    "build-completion CHAIN3 none/close max_objects=12,max_iterations=2": "9f75fe8a6a35859ddb4cffed7482838c1bcb945dea497fc0826bd7aac885caef",
+    "build-completion CHAIN3 none/close max_objects=12,max_iterations=2": "f6b6cab6ddb3ef6b22979b8d3ead101a37a5a68b7f4b467ae6351704db81203f",
     "verify-axioms CHAIN3 reg max_objects=12,max_iterations=2": "c5acfb9632ae907821e82db1eac4b5f5eb13c43ece6a82814c54b01549590ed3",
-    "build-completion CHAIN3 reg/close max_objects=12,max_iterations=2": "58c946464d9804b9cef13b36011ed8be0c1e37a07714a57378ffe7478245a793",
+    "build-completion CHAIN3 reg/close max_objects=12,max_iterations=2": "75696cf741c0f6e4e55d11931ba56293143cd25690b8ec009ba73d4e340d2559",
     "verify-axioms CHAIN3 ex max_objects=12,max_iterations=2": "9d228298ea954edb09221722de443dcfde11582c0df96574d5fe018ff2253c1b",
-    "build-completion CHAIN3 ex/close max_objects=12,max_iterations=2": "575a2d2ae90218e47ed5f333fcb05148ba9a6589ad2260cbf4e1330c86602361",
+    "build-completion CHAIN3 ex/close max_objects=12,max_iterations=2": "08ab0b1d8ca545f94d08ec7f6c44fa8ceeab15ac97894aa6f94cc29fa8b77c39",
     "verify-axioms CHAIN3 lext max_objects=12,max_iterations=2": "d970d2fc6ec7b451699ec83cb98ba696db9fcfc0d5086775a19e41d9c67076a5",
-    "build-completion CHAIN3 lext/close max_objects=12,max_iterations=2": "2dcb8cb94967787e80881332b3a7a77df40200ad5672380c2583ef7698304352",
+    "build-completion CHAIN3 lext/close max_objects=12,max_iterations=2": "0e797e620a2df0f52984ddb086689e6566561e12866c34c9c127cde0e050858c",
     "verify-axioms CHAIN3 pret max_objects=12,max_iterations=2": "114a1e3020af00f45fe393a0ca7835220de2ef55d34f0f5e1d76820d5df32254",
-    "build-completion CHAIN3 pret/close max_objects=12,max_iterations=2": "7265df09b7e79b1f0206760d7aafcec9035e020b673e8cbbd6a88bbf5b65a0ff",
+    "build-completion CHAIN3 pret/close max_objects=12,max_iterations=2": "68b65ef109400dd0b5c5d1e5724070ffba1930b6d70df66ebf5979cc2248ea20",
     "verify-axioms SPLIT none max_objects=12,max_iterations=2": "f9231d0f30f9f511a5c305f06a04ba87348509d2a62c62dd3fa59a82b8f353e4",
-    "build-completion SPLIT none/close max_objects=12,max_iterations=2": "bd4b12d2fc118f73380f522c8c0e2d4b34f7dcc640acec2b968ba595c3a38ecf",
+    "build-completion SPLIT none/close max_objects=12,max_iterations=2": "bc76c390672fe74d147ad7a4eb1501a96e834d9252a7d5416887e3a3e3c40175",
     "verify-axioms SPLIT reg max_objects=12,max_iterations=2": "a681ef7d261540bc09d5dace746a18e3d1869948af7cb3ef41f0c2fb4de801eb",
-    "build-completion SPLIT reg/close max_objects=12,max_iterations=2": "049f225ee455b95d409902f150b37361ba0906cf8f8828dfe412e35ce4b94ada",
+    "build-completion SPLIT reg/close max_objects=12,max_iterations=2": "e0d9f836efa8a7f4a5ae08323bf57f788ed22effc7a3c8ee09ecc1002ed6c6ad",
     "verify-axioms SPLIT ex max_objects=12,max_iterations=2": "83be1c3170b9fa4533b5e1c43c5fff5dab8d21c517d633263df703fd0d732d2a",
-    "build-completion SPLIT ex/close max_objects=12,max_iterations=2": "76a725263d4de2637e5df5f0612038a5ca58b4dc46bc9225d5c3c5afb9253b8a",
+    "build-completion SPLIT ex/close max_objects=12,max_iterations=2": "e03ae650fcef92e6afb870e626aa4808b5a95d118ce6277187b053c65a947df3",
     "verify-axioms SPLIT lext max_objects=12,max_iterations=2": "2e176e83b9125ddc233935c0df3847e0c88c1f6ef70699b56dd690aefeaf9086",
-    "build-completion SPLIT lext/close max_objects=12,max_iterations=2": "38c8cbefc3bd18baa1bad346b2dd02256f0052496033721c6b276103e7c49eb5",
+    "build-completion SPLIT lext/close max_objects=12,max_iterations=2": "a8f8fb845bd271fa2e07866a7d396169c30eb10a543e332bf6b7d5bb7805bdd2",
     "verify-axioms SPLIT pret max_objects=12,max_iterations=2": "ee3643e6e3f3542434c020b7f1c0ef5497bbbce4c81ac28fb34b5bf845472782",
-    "build-completion SPLIT pret/close max_objects=12,max_iterations=2": "4aefc9e31e3aaff8e8c4b664e6b651bbd971d0df1ca5f9f2c95b753cf5fba6ae",
+    "build-completion SPLIT pret/close max_objects=12,max_iterations=2": "5dd8216b81d1dbfd7597573ec2ce4e8ea1dad6b6f1468606b205fbfce4b5e8ba",
 }
 
 

@@ -112,13 +112,6 @@ def test_flat_iff_lex_on_lex_domains(cats):
             assert fl.is_flat_set_valued(F).flat == fl.is_lex_set_valued(F).flat, (name, F.values)
 
 
-def test_general_flatness_agrees_on_point_targets(cats):
-    for name in ("PAR", "Z2", "SPLIT"):
-        C = cats[name]
-        for F in ps.enumerate_set_functors(C, 2):
-            assert fl.is_flat_set_valued(F).flat == fl.is_flat(F).flat, (name, F.values)
-
-
 def test_bounded_sweep_flag(cats):
     # the exhaustive bounded sweep agrees with the generating-shape decision
     # over the whole corpus and every functor at value bound 2
@@ -150,7 +143,6 @@ def test_constant_at_terminal_into_completion_not_flat(cats):
 
 CENSUS_ROUTES = {
     "definitional": fl.is_flat_set_valued,
-    "concrete": fl.is_flat,
     "covering": fl.left_covering,
     "multi": fl.finitely_multicontinuous,
     "fc": fl.fc_continuous,
@@ -177,16 +169,18 @@ def census_value_bound(name: str) -> int:
     return 3 if name in ("ONE", "ARROW", "DISC2", "Z2") else 2
 
 
-# equal under PYTHONHASHSEED 0, 1 and 2, and unchanged since set-functor
-# conversions and composite diagrams stopped being re-validated
+# equal under PYTHONHASHSEED 0, 1 and 2; pinned again when definitional
+# flatness was written once: the "concrete" row, which equalled the
+# "definitional" one, is gone, and a failing definitional or elements verdict
+# says "weighted colimit does not match the limit"
 CENSUS_DIGESTS = {
-    "ONE": "4087c8719b1fb26ae25673beafe0f2932bfe9377cac5b581f0ec8594c032979c",
-    "ARROW": "8babe3b3622029cd872b0017b8b1d386694bf8216d834d6527132f4475a4d47c",
-    "PAR": "ef52bb740f7c8dfdab6fc7d0b8736f66b6d7c6774b7f839171eedb1b01760efe",
-    "DISC2": "314492edbefd7cc60c9194ab921ca0fa47fd9fb00c7c68e1d56233ac422a89cc",
-    "Z2": "4603f038504db3fa816d50e16ce5f461d47feaac56b69970315d888da56e00b2",
-    "CHAIN3": "8fb01a677fafd1fdad6a004bb4ef0110a41709b5be81a4be17777b6c406f2ee3",
-    "SPLIT": "3a0186da810bf91950c4b701811763d37bca426365ec9f57c1290cbd11228f74",
+    "ONE": "6e23b95e7f86737c193e473bf7fd4c3a7646ce870ed96ef3c14c56e2d5bafa6d",
+    "ARROW": "b9e5a88d55f845a925da6ddd97b1af22d1b526e38d8a0d28358846fc1da23a58",
+    "PAR": "225f1e9ae91139f7749985b5b6b64041f1d8c5d93d3db08bd0eb6e08220a62a5",
+    "DISC2": "de54bb01410daadb3e2c6e32bb73ba7c0cf4758eb517125d99b4ea0433a03ae7",
+    "Z2": "cbc5a97bef5d34a68d1a87535a6252cf33d7231385c1beb384a95afbd5e98fd0",
+    "CHAIN3": "c26d7156989d152134e9a38388cdb596799cc6c22a0fe9f8a71930ab33333e85",
+    "SPLIT": "be3702ebe3bfba03728c21cddf5d08f98d4c852c25978f39823ba25e2fea0b1a",
 }
 
 

@@ -229,12 +229,20 @@ def referee_cases(cats):
             yield label, cp.completion_structure(E, flavor), 1 if label in REFEREE_AT_BOUND_1 else 2
 
 
+def _frozen(model):
+    values, actions = model
+    return values, tuple(tuple(sorted(a.items())) for a in actions)
+
+
 def test_models_match_unpruned_referee(cats, monkeypatch):
     # the pruned enumeration lists exactly the models that unpruned
-    # generate-and-filter (tests/oracles.py) finds, in the same order, and
-    # with a seeded generator the same draw; every candidate it builds is a
-    # model, and each prune removes candidates somewhere: the sizes reject
-    # an object map, and the cuts a functor whose sizes fit
+    # generate-and-filter (tests/oracles.py) finds: in the same order, and
+    # with a seeded generator the same models once each, in a draw that a
+    # second generator of the same seed repeats (an object map the sizes
+    # reject draws no pools, so the two draws differ in order); every
+    # candidate it builds is a model, and each prune removes candidates
+    # somewhere: the sizes reject an object map, and the cuts a functor
+    # whose sizes fit
     built, rejected = [0], [0]
     build, cardinalities = ps.set_functor_from_functor_data, lz._cardinalities
 
@@ -261,9 +269,17 @@ def test_models_match_unpruned_referee(cats, monkeypatch):
             rng = None if seed is None else random.Random(seed)
             built[0] = rejected[0] = 0
             models = [(F.values, F.actions) for F in lz.models(sk, bound, rng)]
-            rng = None if seed is None else random.Random(seed)
-            assert models == oracles.sketch_models_by_filter(sk, bound, rng), (label, seed)
             assert built[0] == len(models), label
+            rng = None if seed is None else random.Random(seed)
+            referee = oracles.sketch_models_by_filter(sk, bound, rng)
+            if seed is None:
+                assert models == referee, label
+            else:
+                drawn = [_frozen(m) for m in models]
+                assert len(set(drawn)) == len(drawn), label
+                assert sorted(drawn) == sorted(map(_frozen, referee)), label
+                again = [(F.values, F.actions) for F in lz.models(sk, bound, random.Random(seed))]
+                assert again == models, label
         fitting = sum(1 for _ in fc.enumerate_functors(sk.host, FS, fits=cardinalities(sk)))
         with_models += bool(models)
         by_sizes += rejected[0] > 0
