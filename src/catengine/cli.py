@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -171,6 +172,14 @@ def cmd_analyze_limits(args) -> int:
     return EXIT_OK
 
 
+def _completion_index(name, prefix: str, kind: str, count: float = float("inf")) -> int:
+    """The index ``i`` of a completion's object ``M{i}`` or morphism ``t{i}``."""
+    match = re.fullmatch(prefix + "(0|[1-9][0-9]*)", name) if isinstance(name, str) else None
+    if match is None or int(match[1]) >= count:
+        raise ValidationError(f"the completion has no {kind} named {name!r}")
+    return int(match[1])
+
+
 def cmd_check_flat(args) -> int:
     cat = load_category(args.category)
     data = json.loads(Path(args.functor).read_text())
@@ -178,19 +187,19 @@ def cmd_check_flat(args) -> int:
     if args.target:
         target = cp.completion_from_json(json.loads(Path(args.target).read_text()))
     if "objects" in data and target is not None:
-        # a functor into the completion, given by object/morphism names
-        Ecat = target.as_category()
-        omap = tuple(Ecat.object_index(data["objects"][o]) for o in cat.objects)
+        # a functor into the completion, by the names M{i} and t{k} of its
+        # category; only the hom-sets up to the last one named are read
+        omap = tuple(_completion_index(data["objects"][o], "M", "object", len(target.objects)) for o in cat.objects)
         mmap = []
         for m in range(cat.n_morphisms):
             if cat.morphisms[m] in data.get("morphisms", {}):
-                mmap.append(Ecat.morphism_index(data["morphisms"][cat.morphisms[m]]))
+                mmap.append(_completion_index(data["morphisms"][cat.morphisms[m]], "t", "morphism"))
             elif cat.is_identity(m):
-                mmap.append(Ecat.identity[omap[cat.src[m]]])
+                i = omap[cat.src[m]]
+                mmap.append(target.morphism_id(i, i, ps.identity_nat(target.objects[i])))
             else:
                 raise ValidationError(f"functor file missing the image of {cat.morphisms[m]}")
-        fd = fc.FunctorData(cat, Ecat, omap, tuple(mmap))
-        F = target.concrete_functor(fd, name=data.get("name", "F"))
+        F = target.concrete_functor(cat, omap, mmap, name=data.get("name", "F"))
     else:
         F = load_set_functor(args.functor, cat)
     method = args.method

@@ -113,6 +113,25 @@ class ConcreteCompletion:
             self._cache[key] = ps.hom_set(self.objects[i], self.objects[j])
         return self._cache[key]
 
+    def _listing(self, through: int, ids: int = 0) -> tuple[list, dict]:
+        """The triples ``(i, j, t)`` in :meth:`as_category`'s id order and the
+        index from ``(i, j, t.key())`` to the id, listed through hom-set
+        ``through`` and on until they hold ``ids`` morphisms.  Hom-set ``h``
+        is ``hom(M_i, M_j)`` for ``(i, j) = divmod(h, n)``; hom-sets are
+        listed in order and on demand, so a lookup reads only those up to its
+        own."""
+        mors, index = self._cache.setdefault("listing", ([], {}))
+        n = len(self.objects)
+        for h in range(self._cache.get("listed", 0), n * n):
+            if h > through and len(mors) >= ids:
+                break
+            i, j = divmod(h, n)
+            for t in self.homs(i, j):
+                index[(i, j, t.key())] = len(mors)
+                mors.append((i, j, t))
+            self._cache["listed"] = h + 1
+        return mors, index
+
     def as_category(self) -> FiniteCategory:
         """The completion re-validated as a finite category.
 
@@ -122,26 +141,27 @@ class ConcreteCompletion:
         if "category" in self._cache:
             return self._cache["category"]
         n = len(self.objects)
-        nat = {(i, j, t.key()): t for i in range(n) for j in range(n) for t in self.homs(i, j)}
-        cat, index = category_from_arrows(
-            [f"M{i}" for i in range(n)], list(nat),
+        mors, index = self._listing(n * n - 1)
+        cat, _ = category_from_arrows(
+            [f"M{i}" for i in range(n)], list(index),
             [ps.identity_nat(M).key() for M in self.objects],
-            lambda g, f: ps.compose_nats(nat[g], nat[f]).key(),
-            [f"t{k}" for k in range(len(nat))],
+            lambda g, f: ps.compose_nats(mors[index[g]][2], mors[index[f]][2]).key(),
+            [f"t{k}" for k in range(len(mors))],
             f"{self.flavor}({self.base.name})",
         )
         self._cache["category"] = cat
-        self._cache["category_mors"] = [(i, j, t) for (i, j, _), t in nat.items()]
-        self._cache["category_index"] = index
         return cat
 
     def morphism_nat(self, mid: int) -> tuple[int, int, ps.NatTransformation]:
-        self.as_category()
-        return self._cache["category_mors"][mid]
+        """Morphism ``mid`` of :meth:`as_category` as ``(source, target, t)``,
+        read without building that category."""
+        mors, _ = self._listing(-1, mid + 1)
+        if not 0 <= mid < len(mors):
+            raise ValidationError(f"the completion has no morphism named 't{mid}'")
+        return mors[mid]
 
     def morphism_id(self, i: int, j: int, t: ps.NatTransformation) -> int:
-        self.as_category()
-        return self._cache["category_index"][(i, j, t.key())]
+        return self._listing(i * len(self.objects) + j)[1][(i, j, t.key())]
 
     def inclusion(self) -> tuple[FunctorData, list[ps.NatTransformation]]:
         """The functor from the base picking out the representables.
@@ -175,19 +195,29 @@ class ConcreteCompletion:
     def inclusion_concrete(self) -> fl.ConcreteFunctor:
         """The inclusion as a concrete functor into presheaves over the base."""
         fd, _ = self.inclusion()
-        return self.concrete_functor(fd, name=f"K:{self.base.name}")
+        return self.concrete_functor(self.base, fd.object_map, fd.morphism_map, name=f"K:{self.base.name}")
 
-    def concrete_functor(self, fd: FunctorData, name: str = "F") -> fl.ConcreteFunctor:
-        """Reify a functor into this completion's category as a concrete one."""
-        C = fd.source
-        if fd.target != self.as_category():
-            raise ValidationError("functor does not land in this completion")
-        objs = tuple(self.objects[fd.object_map[a]] for a in range(C.n_objects))
-        mors = []
-        for f in range(C.n_morphisms):
-            _, _, t = self.morphism_nat(fd.morphism_map[f])
-            mors.append(ps.NatTransformation(objs[C.src[f]], objs[C.tgt[f]], t.components, check=False))
-        return fl.ConcreteFunctor(C, self.base, objs, tuple(mors), name=name)
+    def concrete_functor(
+        self, C: FiniteCategory, object_map: Sequence[int], morphism_map: Sequence[int], name: str = "F"
+    ) -> fl.ConcreteFunctor:
+        """The functor from ``C`` sending ``a`` to ``M{object_map[a]}`` and
+        ``m`` to ``t{morphism_map[m]}`` as a concrete one, read from the
+        hom-sets up to the last one named.  The checks and messages are
+        :class:`FunctorData`'s, in its order: endpoints, identities, then
+        composition (in :class:`flatness.ConcreteFunctor`)."""
+        nats = [self.morphism_nat(k) for k in morphism_map]
+        for m, (i, j, _) in enumerate(nats):
+            if (i, j) != (object_map[C.src[m]], object_map[C.tgt[m]]):
+                raise ValidationError(f"functor breaks endpoints at {C.morphisms[m]}")
+        objs = tuple(self.objects[i] for i in object_map)
+        for a in range(C.n_objects):
+            if nats[C.identity[a]][2].components != ps.identity_nat(objs[a]).components:
+                raise ValidationError(f"functor breaks identity at {C.objects[a]}")
+        mors = tuple(
+            ps.NatTransformation(objs[C.src[m]], objs[C.tgt[m]], t.components, check=False)
+            for m, (_, _, t) in enumerate(nats)
+        )
+        return fl.ConcreteFunctor(C, self.base, objs, mors, name=name)
 
     def to_json(self) -> dict:
         from .fincat import category_to_json
@@ -1019,10 +1049,14 @@ def universal_property_check(
     models of the empty sketch, the completion's structure-preserving ones
     as the models of ``completion_structure``, so no candidate that breaks
     the structure is built.  The cap counts the candidates that survive the
-    sketch's constraints, on each side; drawing more notes "sampled".
+    sketch's constraints, on each side; drawing more notes "sampled".  It
+    defaults to the completion's ``enumeration_cap`` and must be positive.
     """
     flavor = flavor or E.flavor
-    cap = cap or E.bounds.enumeration_cap
+    if cap is None:
+        cap = E.bounds.enumeration_cap
+    elif cap < 1:
+        raise ValidationError(f"cap must be positive, got {cap}")
     notes: list[str] = []
     rng = random.Random(seed)
     struct = completion_structure(E, flavor)

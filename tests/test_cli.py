@@ -284,6 +284,110 @@ def test_check_flat_completion_valued_functor(run, tmp_path):
     assert json.loads(out)["verdict"]["flat"] is True
 
 
+@pytest.fixture(scope="module")
+def pret_targets(tmp_path_factory):
+    """Each corpus category's pret/direct completion as a file."""
+    from catengine import completions as cp, corpus
+
+    root = tmp_path_factory.mktemp("targets")
+    paths = {}
+    for name, C in corpus.all_categories().items():
+        paths[name] = root / f"{name}.json"
+        paths[name].write_text(json.dumps(cp.direct_pretopos(C).to_json()))
+    return paths
+
+
+def _check_flat_target(tmp_path, target, category, objects, morphisms, *extra):
+    functor = tmp_path / "F.json"
+    functor.write_text(json.dumps({"objects": objects, "morphisms": morphisms}))
+    return cli.main(["check-flat", "--category", category, "--functor", str(functor), "--target", str(target), *extra])
+
+
+# Functor files into a pret/direct completion, by the names of its category:
+# in ARROW's, M0 and M1 are Y(A) and Y(B), with identities t0 and t2 and
+# Y(u) = t1; in Z2's, M3 is Y(*)+Y(*), with identity t18 and the idempotent
+# endomap t17.
+INVALID_TARGET_FUNCTORS = {
+    "endpoints": ("ARROW", {"A": "M0", "B": "M1"}, {"u": "t0"}, "input error: functor breaks endpoints at u\n"),
+    "identity": ("Z2", {"*": "M3"}, {"e": "t17", "s": "t18"}, "input error: functor breaks identity at *\n"),
+    "composition": ("Z2", {"*": "M3"}, {"e": "t18", "s": "t17"},
+                    "input error: functor breaks composition at (s, s)\n"),
+    "missing object": ("ARROW", {"A": "M0"}, {"u": "t1"}, "input error: 'B'\n"),
+    "missing map": ("ARROW", {"A": "M0", "B": "M1"}, {}, "input error: functor file missing the image of u\n"),
+}
+
+
+@pytest.mark.parametrize("case", list(INVALID_TARGET_FUNCTORS))
+def test_invalid_target_functor_messages_pinned(case, pret_targets, tmp_path, capsys):
+    name, objects, morphisms, expected = INVALID_TARGET_FUNCTORS[case]
+    code = _check_flat_target(tmp_path, pret_targets[name], name, objects, morphisms)
+    assert code == 2
+    assert capsys.readouterr().err == expected
+
+
+# ARROW's pret/direct completion has objects M0-M2 and morphisms t0-t5
+@pytest.mark.parametrize("objects, morphisms, name, kind", [
+    ({"A": "M99", "B": "M1"}, {"u": "t1"}, "M99", "object"),
+    ({"A": "M3", "B": "M1"}, {"u": "t1"}, "M3", "object"),
+    ({"A": "M01", "B": "M1"}, {"u": "t1"}, "M01", "object"),
+    ({"A": "t0", "B": "M1"}, {"u": "t1"}, "t0", "object"),
+    ({"A": 0, "B": "M1"}, {"u": "t1"}, 0, "object"),
+    ({"A": "M0", "B": "M1"}, {"u": "t999"}, "t999", "morphism"),
+    ({"A": "M0", "B": "M1"}, {"u": "t6"}, "t6", "morphism"),
+    ({"A": "M0", "B": "M1"}, {"u": "t-1"}, "t-1", "morphism"),
+    ({"A": "M0", "B": "M1"}, {"u": "t1 "}, "t1 ", "morphism"),
+    ({"A": "M0", "B": "M1"}, {"u": "M1"}, "M1", "morphism"),
+])
+def test_unknown_target_names_exit_two(objects, morphisms, name, kind, pret_targets, tmp_path, capsys):
+    # these once ended in a ValueError traceback with exit 1
+    code = _check_flat_target(tmp_path, pret_targets["ARROW"], "ARROW", objects, morphisms)
+    assert code == 2
+    assert capsys.readouterr().err == f"input error: the completion has no {kind} named {name!r}\n"
+
+
+def _never_built(self):
+    raise AssertionError("check-flat built the completion category")
+
+
+@pytest.mark.parametrize("method", ["def", "covering", "multi", "fc", "merge"])
+def test_check_flat_target_gives_the_inclusion_verdict(method, pret_targets, tmp_path, capsys, monkeypatch):
+    from catengine import completions as cp, corpus, errors, flatness as fl
+
+    route = {"def": fl.is_flat, "covering": fl.left_covering, "multi": fl.finitely_multicontinuous,
+             "fc": fl.fc_continuous, "merge": fl.merges_multi_finite}[method]
+    for name, C in corpus.all_categories().items():
+        E = cp.completion_from_json(json.loads(pret_targets[name].read_text()))
+        fd, _ = E.inclusion()
+        Ec = E.as_category()
+        try:
+            verdict = route(E.inclusion_concrete(), bound=0).to_json()
+            want = (0 if verdict["flat"] else 1, verdict)
+        except errors.EngineError as exc:
+            want = (1, f"check failed: {exc}\n")
+        objects = {C.objects[a]: Ec.objects[fd.object_map[a]] for a in range(C.n_objects)}
+        morphisms = {C.morphisms[m]: Ec.morphisms[fd.morphism_map[m]] for m in range(C.n_morphisms)}
+        with monkeypatch.context() as patch:
+            patch.setattr(cp.ConcreteCompletion, "as_category", _never_built)
+            code = _check_flat_target(tmp_path, pret_targets[name], name, objects, morphisms, "--method", method)
+        out, err = capsys.readouterr()
+        assert (code, json.loads(out)["verdict"] if out else err) == want, name
+
+
+def test_check_flat_target_reads_no_category(tmp_path, capsys, monkeypatch):
+    # check-flat into ONE's 24-object lext closure once built its whole
+    # category first and died in a MemoryError after about 40 s
+    from catengine import completions as cp, corpus
+
+    target = tmp_path / "one_lext.json"
+    target.write_text(json.dumps(cp.close(corpus.load("ONE"), "lext").to_json()))
+    monkeypatch.setattr(cp.ConcreteCompletion, "as_category", _never_built)
+    for morphisms in ({}, {"1": "t0"}):
+        with deadline(10, "check-flat into the ONE lext closure"):
+            code = _check_flat_target(tmp_path, target, "ONE", {"*": "M0"}, morphisms)
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["verdict"]["flat"] is True
+
+
 def test_sketch_models_with_limit_specs(run, tmp_path):
     sketch = tmp_path / "sk.json"
     sketch.write_text(

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import collections
+import dataclasses
 import gc
 import hashlib
 import itertools
@@ -489,6 +490,68 @@ def test_universal_property_sampling_flag(cats):
     E = cp.fam_f(cats["ONE"], 2)
     r = cp.universal_property_check(cats["ONE"], E, 2, flavor="lext", cap=2, seed=3)
     assert r.sampled
+
+
+def test_universal_property_cap_must_be_positive(cats):
+    # a cap of 0 once fell back to the completion's enumeration cap and
+    # reported the full draw
+    E = cp.fam_f(cats["ONE"], 2)
+    full = cp.universal_property_check(cats["ONE"], E, 2, flavor="lext")
+    assert (full.flats, full.exacts, full.sampled) == (1, 2, False)
+    one = cp.universal_property_check(cats["ONE"], E, 2, flavor="lext", cap=1)
+    assert (one.flats, one.exacts, one.sampled) == (0, 1, True)
+    for cap in (0, -1):
+        with pytest.raises(ValidationError, match=f"cap must be positive, got {cap}"):
+            cp.universal_property_check(cats["ONE"], E, 2, flavor="lext", cap=cap)
+
+
+# PAR's and Z2's reg closures at these bounds hold hom-sets of 65,536
+# transformations, so their category is out of reach; there the listing is
+# checked on the hom-sets out of the first object, a representable
+LARGE_LISTINGS = {"PAR reg/close", "Z2 reg/close"}
+
+
+def test_morphism_listing_matches_category(cats):
+    for name, C in cats.items():
+        builds = {"pret/direct": cp.direct_pretopos(C),
+                  "reg/close": cp.close(C, "reg", cp.Bounds(max_objects=12, max_iterations=2))}
+        for construction, E in builds.items():
+            case = f"{name} {construction}"
+            n = len(E.objects)
+            homs = [(i, j) for i in range(n) for j in range(n)][: n if case in LARGE_LISTINGS else None]
+            want = [(i, j, t) for i, j in homs for t in ps.hom_set(E.objects[i], E.objects[j])]
+            ids = range(len(want))
+            # fresh copies list lazily, in id order and from the last id down
+            for order in (ids, reversed(ids)):
+                lazy = dataclasses.replace(E, _cache={})
+                for k in order:
+                    i, j, t = lazy.morphism_nat(k)
+                    assert (i, j) == want[k][:2] and t.components == want[k][2].components, (case, k)
+                    assert lazy.morphism_id(i, j, t) == k, (case, k)
+                assert "category" not in lazy._cache, case
+            if case in LARGE_LISTINGS:
+                continue
+            cat = E.as_category()
+            assert cat.n_morphisms == len(want), case
+            for k, (i, j, t) in enumerate(want):
+                assert (cat.src[k], cat.tgt[k]) == (i, j), (case, k)
+                assert E.morphism_nat(k)[2].components == t.components, (case, k)
+            with pytest.raises(ValidationError, match=f"no morphism named 't{len(want)}'"):
+                dataclasses.replace(E, _cache={}).morphism_nat(len(want))
+
+
+def test_morphism_lookup_lists_only_the_hom_sets_it_needs(cats):
+    E = cp.direct_pretopos(cats["PAR"])
+    n = len(E.objects)
+
+    def read():
+        return sorted(key[1:] for key in E._cache if isinstance(key, tuple) and key[0] == "hom")
+
+    E.morphism_nat(0)
+    assert read() == [(0, 0)]
+    E.morphism_id(1, 1, ps.identity_nat(E.objects[1]))
+    assert read() == sorted(divmod(h, n) for h in range(n + 2))
+    assert "category" not in E._cache
 
 
 def test_image_presentation_is_strictly_smaller_than_closure(cats):

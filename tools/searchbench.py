@@ -1,6 +1,6 @@
 """Time the engine's backtracking searches, two cold-host layers, the
-flatness routes, the completions' closure and their universal property in
-two source trees, side by side.
+flatness routes, the completions' closure, check-flat into a completion and
+the completions' universal property in two source trees, side by side.
 
     python tools/searchbench.py OLD_SRC NEW_SRC [--rounds 15] [--only NAME[,NAME]]
 
@@ -58,6 +58,14 @@ One more times the free completions' closure and their axiom batteries:
   the cases in ``SLOW_BUILDS`` and ``SLOW_BATTERIES`` take over 2 s in
   some tree and are left out.
 
+One more times ``check-flat --target`` as completion-battery runs it:
+
+- ``check_flat_target``: in-process ``cli.main`` check-flat of the inclusion
+  of every corpus category into its ``pret/direct`` completion, both read
+  from files written at set-up, with each of the five methods that take a
+  concrete functor; each run is reduced to its exit code, stdout and
+  stderr.
+
 One more times the check of the completions' universal property:
 
 - ``universal_property``: ``universal_property_check`` at value bound 2 on
@@ -79,8 +87,11 @@ side and the ratio new / old per workload (below 1: the new tree is faster).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import importlib
+import io
+import json
 import itertools
 import math
 import random
@@ -100,7 +111,7 @@ def load(src: str, side: str, into: Path):
     name = f"catengine_{side}"
     shutil.copytree(Path(src) / "catengine", into / name, ignore=shutil.ignore_patterns("__pycache__"))
     return {mod: importlib.import_module(f"{name}.{mod}")
-            for mod in ("completions", "corpus", "errors", "fincat", "flatness", "localize", "presheaf", "ultra",
+            for mod in ("cli", "completions", "corpus", "errors", "fincat", "flatness", "localize", "presheaf", "ultra",
                         "virtlim")}
 
 
@@ -302,6 +313,43 @@ def closure_run(pkg, inputs):
     return out
 
 
+CHECK_FLAT_METHODS = ("def", "covering", "multi", "fc", "merge")
+
+
+def check_flat_setup(pkg):
+    """Per corpus category, its pret/direct completion and its inclusion as
+    files, named as perfbench's completion-battery names them."""
+    cp = pkg["completions"]
+    tmp = tempfile.TemporaryDirectory()
+    cases = []
+    for name, C in pkg["corpus"].all_categories().items():
+        E = cp.direct_pretopos(C)
+        fd, _ = E.inclusion()
+        Ec = E.as_category()
+        target, functor = Path(tmp.name) / f"{name}.json", Path(tmp.name) / f"K{name}.json"
+        target.write_text(json.dumps(E.to_json()))
+        functor.write_text(json.dumps({
+            "name": "K",
+            "objects": {C.objects[a]: Ec.objects[fd.object_map[a]] for a in range(C.n_objects)},
+            "morphisms": {C.morphisms[m]: Ec.morphisms[fd.morphism_map[m]] for m in range(C.n_morphisms)},
+        }))
+        cases.append((name, str(target), str(functor)))
+    return tmp, cases
+
+
+def check_flat_run(pkg, inputs):
+    _, cases = inputs
+    out = []
+    for name, target, functor in cases:
+        for method in CHECK_FLAT_METHODS:
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = pkg["cli"].main(["check-flat", "--category", name, "--functor", functor,
+                                        "--target", target, "--method", method])
+            out.append((code, stdout.getvalue(), stderr.getvalue()))
+    return out
+
+
 UNIVERSAL_CASES = ("ONE reg", "ONE lext", "ARROW reg", "ARROW lext", "DISC2 reg", "DISC2 lext", "Z2 reg",
                    "Z2 lext", "CHAIN3 reg", "SPLIT reg")
 
@@ -333,6 +381,7 @@ WORKLOADS = {
     "sketch_models": (sketch_setup, sketch_run),
     "flatness_routes": (flatness_setup, flatness_run),
     "completion_closure": (closure_setup, closure_run),
+    "check_flat_target": (check_flat_setup, check_flat_run),
     "universal_property": (universal_setup, universal_run),
 }
 
