@@ -36,12 +36,11 @@ from .fincat import (
     Cocone,
     FiniteCategory,
     FunctorData,
-    all_cocones,
     category_from_arrows,
     colimit_in_category,
     cospan_diagram,
     empty_diagram,
-    is_universal,
+    is_colimit,
     limit_in_category,
     pair_diagram,
     parallel_pair_diagram,
@@ -883,14 +882,7 @@ def _is_regular_epi_in(cat: FiniteCategory, e: int) -> bool:
     if kp is None:
         return False
     p1, p2 = kp.legs[0], kp.legs[2]
-    diagram = parallel_pair_diagram(cat, p1, p2)
-    target = cat.tgt[e]
-    legs = (cat.table[e][p1], e)
-    try:
-        Cocone(diagram, target, legs)
-    except ValidationError:
-        return False
-    return is_universal(cat, target, legs, [(c.apex, c.legs) for c in all_cocones(diagram)], cocone=True)
+    return is_colimit(parallel_pair_diagram(cat, p1, p2), cat.tgt[e], (cat.table[e][p1], e))
 
 
 @dataclass(frozen=True, eq=False)

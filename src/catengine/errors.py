@@ -43,7 +43,7 @@ class FiberCapExceeded(EngineError):
 class BoundExceeded(EngineError):
     def __init__(self, kind, detail=""):
         self.kind = kind
-        super().__init__(f"bound exceeded: {kind} {detail}".strip())
+        super().__init__(f"{kind} {detail}".strip())
 
 
 class EnumerationTooLarge(EngineError):

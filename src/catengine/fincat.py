@@ -30,9 +30,10 @@ class FiniteCategory:
     """A finite category as a total composition table over composable pairs.
 
     ``table[g][f]`` is the id of ``g∘f`` when ``tgt(f) == src(g)`` and -1
-    otherwise.  Instances are only produced through :func:`validate_category`
-    or :meth:`build`, which verify the identity and associativity laws over
-    every composable pair and triple.
+    otherwise.  Input files are read by :func:`validate_category`; every
+    category the engine derives is made by :func:`category_from_arrows` from
+    its morphism triples.  Both go through :meth:`build`, which verifies the
+    identity and associativity laws over every composable pair and triple.
     """
 
     objects: tuple[str, ...]
@@ -171,12 +172,10 @@ class FiniteCategory:
             )
         return self._cache["isos"]
 
-    def parallel_pairs(self, distinct: bool = True) -> Iterator[tuple[int, int]]:
+    def parallel_pairs(self) -> Iterator[tuple[int, int]]:
         for u in range(self.n_morphisms):
-            for v in range(u + 1 if distinct else u, self.n_morphisms):
+            for v in range(u + 1, self.n_morphisms):
                 if self.src[u] == self.src[v] and self.tgt[u] == self.tgt[v]:
-                    if distinct and u == v:
-                        continue
                     yield (u, v)
 
 
@@ -287,16 +286,12 @@ def opposite(cat: FiniteCategory) -> FiniteCategory:
     """
     op = cat._cache.get("opposite")
     if op is None:
-        n = cat.n_morphisms
-        table = [[-1] * n for _ in range(n)]
-        for g in range(n):
-            for f in range(n):
-                if cat.table[f][g] >= 0:
-                    table[g][f] = cat.table[f][g]
         name = cat.name[:-3] if cat.name.endswith("^op") else cat.name + "^op"
-        op = cat._cache["opposite"] = FiniteCategory.build(
-            cat.objects, cat.morphisms, cat.tgt, cat.src, cat.identity, table, name
+        op, _ = category_from_arrows(
+            cat.objects, [(cat.tgt[m], cat.src[m], m) for m in range(cat.n_morphisms)], cat.identity,
+            lambda g, f: cat.table[f[2]][g[2]], cat.morphisms, name,
         )
+        cat._cache["opposite"] = op
         op._cache["opposite"] = cat
     return op
 
@@ -413,24 +408,16 @@ def is_cauchy_complete(cat: FiniteCategory) -> bool:
 
 
 def full_subcategory(cat: FiniteCategory, objs: Sequence[int], name: Optional[str] = None) -> FiniteCategory:
-    objs = list(objs)
-    keep = [m for m in range(cat.n_morphisms) if cat.src[m] in objs and cat.tgt[m] in objs]
     oid = {o: i for i, o in enumerate(objs)}
-    mid = {m: i for i, m in enumerate(keep)}
-    table = [[-1] * len(keep) for _ in keep]
-    for g in keep:
-        for f in keep:
-            if cat.tgt[f] == cat.src[g]:
-                table[mid[g]][mid[f]] = mid[cat.table[g][f]]
-    return FiniteCategory.build(
-        [cat.objects[o] for o in objs],
-        [cat.morphisms[m] for m in keep],
-        [oid[cat.src[m]] for m in keep],
-        [oid[cat.tgt[m]] for m in keep],
-        [mid[cat.identity[o]] for o in objs],
-        table,
-        name or f"{cat.name}|{len(objs)}",
+    if len(oid) != len(objs):
+        raise ValidationError("duplicate object or morphism names")
+    keep = [m for m in range(cat.n_morphisms) if cat.src[m] in oid and cat.tgt[m] in oid]
+    sub, _ = category_from_arrows(
+        [cat.objects[o] for o in objs], [(oid[cat.src[m]], oid[cat.tgt[m]], m) for m in keep],
+        [cat.identity[o] for o in objs], lambda g, f: cat.table[g[2]][f[2]],
+        [cat.morphisms[m] for m in keep], name or f"{cat.name}|{len(objs)}",
     )
+    return sub
 
 
 # -- functors, diagrams, and (co)cones --------------------------------------
@@ -543,35 +530,24 @@ class Diagram:
         return f"[{objs}|{arrows}]" if arrows else f"[{objs}]"
 
 
-EMPTY_SHAPE = FiniteCategory.build((), (), (), (), (), (), name="0")
-POINT_SHAPE = FiniteCategory.build(("d0",), ("1_d0",), (0,), (0,), (0,), ((0,),), name="pt")
-PAIR_SHAPE = FiniteCategory.build(
-    ("d0", "d1"), ("1_d0", "1_d1"), (0, 1), (0, 1), (0, 1),
-    ((0, -1), (-1, 1)), name="pair",
-)
-PARALLEL_SHAPE = FiniteCategory.build(
-    ("d0", "d1"), ("1_d0", "1_d1", "s", "t"),
-    (0, 1, 0, 0), (0, 1, 1, 1), (0, 1),
-    (
-        (0, -1, -1, -1),
-        (-1, 1, 2, 3),
-        (2, -1, -1, -1),
-        (3, -1, -1, -1),
-    ),
-    name="parallel",
-)
-COSPAN_SHAPE = FiniteCategory.build(
-    ("d0", "d1", "d2"), ("1_d0", "1_d1", "1_d2", "l", "r"),
-    (0, 1, 2, 0, 2), (0, 1, 2, 1, 1), (0, 1, 2),
-    (
-        (0, -1, -1, -1, -1),
-        (-1, 1, -1, 3, 4),
-        (-1, -1, 2, -1, -1),
-        (3, -1, -1, -1, -1),
-        (-1, -1, 4, -1, -1),
-    ),
-    name="cospan",
-)
+def free_shape(n: int, edges: Sequence[tuple[int, int, str]], name: str) -> FiniteCategory:
+    """The category on objects ``d0 .. d{n-1}`` with identities ``1_d{i}``
+    and then the ``edges``, arrows ``(src, tgt, name)`` no two of which
+    compose."""
+    objects = [f"d{i}" for i in range(n)]
+    arrows = [(i, i, f"1_{o}") for i, o in enumerate(objects)] + list(edges)
+    cat, _ = category_from_arrows(
+        objects, arrows, [f"1_{o}" for o in objects],
+        lambda g, f: f[2] if g[0] == g[1] else g[2], [a[2] for a in arrows], name,
+    )
+    return cat
+
+
+EMPTY_SHAPE = free_shape(0, (), "0")
+POINT_SHAPE = free_shape(1, (), "pt")
+PAIR_SHAPE = free_shape(2, (), "pair")
+PARALLEL_SHAPE = free_shape(2, ((0, 1, "s"), (0, 1, "t")), "parallel")
+COSPAN_SHAPE = free_shape(3, ((0, 1, "l"), (2, 1, "r")), "cospan")
 
 
 # The bodies of the four standard diagrams are functors by construction: the
@@ -724,10 +700,10 @@ def backtrack(order: Sequence, domain, forced, decided=()) -> Iterator[dict]:
             return
 
 
-def _search_legs(diagram: Diagram, apex: Optional[int], cocone: bool) -> list:
-    """Every cone (or cocone) over the diagram with the given apex, or with
-    any apex in turn: one variable per shape object over its legs, pruned
-    by the commutations that each vertex's leg makes decidable."""
+def _search_legs(diagram: Diagram, cocone: bool) -> list:
+    """Every cone (or cocone) over the diagram, apex by apex: one variable
+    per shape object over its legs, pruned by the commutations that each
+    vertex's leg makes decidable."""
     C, S = diagram.target, diagram.shape
     n = S.n_objects
     constraints = [[] for _ in range(n)]  # (d, d2, image of s) checkable once object d is assigned
@@ -742,7 +718,7 @@ def _search_legs(diagram: Diagram, apex: Optional[int], cocone: bool) -> list:
         return () if all(C.table[m][legs[d1]] == legs[d2] for d1, d2, m in constraints[d]) else None
 
     out = []
-    for c in range(C.n_objects) if apex is None else [apex]:
+    for c in range(C.n_objects):
         pools = [C.hom(diagram.vertex(d), c) if cocone else C.hom(c, diagram.vertex(d)) for d in range(n)]
         if all(pools):
             out += [
@@ -752,12 +728,12 @@ def _search_legs(diagram: Diagram, apex: Optional[int], cocone: bool) -> list:
     return out
 
 
-def all_cones(diagram: Diagram, apex: Optional[int] = None) -> list[Cone]:
-    return _search_legs(diagram, apex, cocone=False)
+def all_cones(diagram: Diagram) -> list[Cone]:
+    return _search_legs(diagram, cocone=False)
 
 
-def all_cocones(diagram: Diagram, apex: Optional[int] = None) -> list[Cocone]:
-    return _search_legs(diagram, apex, cocone=True)
+def all_cocones(diagram: Diagram) -> list[Cocone]:
+    return _search_legs(diagram, cocone=True)
 
 
 _LIMIT_CACHE: dict[Diagram, Optional[Cone]] = {}
@@ -799,6 +775,17 @@ def is_universal(C: FiniteCategory, apex: int, legs: Sequence[int], competitors,
         if len(mediators(C, apex, legs, other_apex, other_legs, cocone)) != 1:
             return False
     return True
+
+
+def is_colimit(diagram: Diagram, apex: int, legs: Sequence[int]) -> bool:
+    """Is ``(apex, legs)`` a cocone over ``diagram`` through which every
+    cocone factors by exactly one morphism?"""
+    try:
+        Cocone(diagram, apex, tuple(legs))
+    except ValidationError:
+        return False
+    competitors = [(c.apex, c.legs) for c in all_cocones(diagram)]
+    return is_universal(diagram.target, apex, legs, competitors, cocone=True)
 
 
 def _first_universal(C: FiniteCategory, cands: list, cocone: bool):

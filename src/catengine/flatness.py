@@ -28,11 +28,9 @@ from .errors import (
     NoWeakLimit,
     ValidationError,
 )
-from .fincat import Cone, Diagram, FiniteCategory, elements_category, is_cofiltered
+from .fincat import POINT_SHAPE, Cone, Diagram, FiniteCategory, elements_category, is_cofiltered
 from . import presheaf as ps
 from . import virtlim as vl
-
-POINT_BASE = FiniteCategory.build(("*",), ("1",), (0,), (0,), (0,), ((0,),), name="pt")
 
 
 @dataclass(frozen=True)
@@ -82,7 +80,7 @@ class ConcreteFunctor:
     def from_set_functor(cls, F: ps.SetFunctor) -> "ConcreteFunctor":
         """The same functor into presheaves on the point."""
         objs = tuple(
-            ps.Presheaf(POINT_BASE, (F.values[a],), ({x: x for x in F.values[a]},),
+            ps.Presheaf(POINT_SHAPE, (F.values[a],), ({x: x for x in F.values[a]},),
                         name=f"{F.name}({F.base.objects[a]})", check=False)
             for a in range(F.base.n_objects)
         )
@@ -90,7 +88,7 @@ class ConcreteFunctor:
             ps.NatTransformation(objs[F.base.src[m]], objs[F.base.tgt[m]], (dict(F.actions[m]),), check=False)
             for m in range(F.base.n_morphisms)
         )
-        return cls(F.base, POINT_BASE, objs, mors, name=F.name)
+        return cls(F.base, POINT_SHAPE, objs, mors, name=F.name)
 
 
 def _fibers(F) -> tuple[FiniteCategory, list[tuple[Sequence, Sequence[dict]]]]:

@@ -27,6 +27,7 @@ from .fincat import (
     Cone,
     FiniteCategory,
     FunctorData,
+    category_from_arrows,
     colimit_in_category,
     compose_functors,
     enumerate_functors,
@@ -195,34 +196,20 @@ def fractions(cong: Congruence) -> FractionsResult:
         q, p = pullback_legs[f, t]
         return (host.table[s][q], host.table[g][p])
 
-    n = len(reps)
-    table = [[-1] * n for _ in range(n)]
-    for j, sp2 in enumerate(reps):
-        for i, sp1 in enumerate(reps):
-            if host.tgt[sp1[1]] != host.tgt[sp2[0]]:
-                continue
-            table[j][i] = cls[span_idx[compose_spans(sp2, sp1)]]
+    cat, _ = category_from_arrows(
+        host.objects, [(host.tgt[s], host.tgt[f], k) for k, (s, f) in enumerate(reps)],
+        [cls[span_idx[(e, e)]] for e in host.identity],
+        lambda g, f: cls[span_idx[compose_spans(reps[g[2]], reps[f[2]])]],
+        [f"[{host.morphisms[s]};{host.morphisms[f]}]" for (s, f) in reps],
+        f"{host.name}[inv]",
+    )
     # well-definedness across all representatives of each class
     for j, sp2 in enumerate(spans):
         for i, sp1 in enumerate(spans):
             if host.tgt[sp1[1]] != host.tgt[sp2[0]]:
                 continue
-            got = cls[span_idx[compose_spans(sp2, sp1)]]
-            if got != table[cls[j]][cls[i]]:
+            if cls[span_idx[compose_spans(sp2, sp1)]] != cat.table[cls[j]][cls[i]]:
                 raise ValidationError("internal: span composition not well defined on classes")
-    identity = []
-    for a in range(host.n_objects):
-        e = host.identity[a]
-        identity.append(cls[span_idx[(e, e)]])
-    cat = FiniteCategory.build(
-        host.objects,
-        tuple(f"[{host.morphisms[s]};{host.morphisms[f]}]" for (s, f) in reps),
-        tuple(host.tgt[s] for (s, _) in reps),
-        tuple(host.tgt[f] for (_, f) in reps),
-        tuple(identity),
-        table,
-        name=f"{host.name}[inv]",
-    )
     proj = FunctorData(
         host, cat,
         tuple(range(host.n_objects)),

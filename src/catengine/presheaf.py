@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Iterator, Optional, Sequence
 
 from .errors import FiberCapExceeded, ValidationError
-from .fincat import FiniteCategory, FunctorData, backtrack, opposite
+from .fincat import FiniteCategory, FunctorData, backtrack, free_shape, opposite
 
 FIBER_CAP = 64
 
@@ -274,13 +274,7 @@ _DISCRETE_CACHE: dict[int, FiniteCategory] = {}
 
 def discrete_category(n: int) -> FiniteCategory:
     if n not in _DISCRETE_CACHE:
-        table = [[j if i == j else -1 for j in range(n)] for i in range(n)]
-        _DISCRETE_CACHE[n] = FiniteCategory.build(
-            tuple(f"d{i}" for i in range(n)),
-            tuple(f"1_d{i}" for i in range(n)),
-            tuple(range(n)), tuple(range(n)), tuple(range(n)),
-            table, name=f"disc{n}",
-        )
+        _DISCRETE_CACHE[n] = free_shape(n, (), f"disc{n}")
     return _DISCRETE_CACHE[n]
 
 

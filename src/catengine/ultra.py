@@ -20,11 +20,11 @@ from .fincat import (
     Diagram,
     FiniteCategory,
     FunctorData,
-    all_cocones,
     backtrack,
     category_from_arrows,
     colimit_in_category,
     full_subcategory,
+    is_colimit,
     is_universal,
     opposite,
 )
@@ -339,11 +339,7 @@ def verify_density(host: FiniteCategory, m_objects: Sequence[int]) -> None:
     """Every host object must be the colimit of its canonical diagram."""
     for k in range(host.n_objects):
         diagram, legs = _comma_diagram(host, m_objects, k)
-        try:
-            Cocone(diagram, k, legs)
-        except ValidationError as exc:
-            raise DensityUnverified(host.objects[k]) from exc
-        if not is_universal(host, k, legs, [(c.apex, c.legs) for c in all_cocones(diagram)], cocone=True):
+        if not is_colimit(diagram, k, legs):
             raise DensityUnverified(host.objects[k])
 
 

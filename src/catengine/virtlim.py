@@ -57,18 +57,10 @@ class VirtualLimit:
         return [f for f in C.hom(c1, c2) if self.weight.actions[f][w2] == w1]
 
     def components(self) -> list[list[tuple[int, tuple]]]:
-        elems = self.elements()
-        linked = [
-            (e1, e2)
-            for i, e1 in enumerate(elems)
-            for e2 in elems[i + 1:]
-            if self.arrows(e1, e2) or self.arrows(e2, e1)
-        ]
-        reps, class_of = ps._classes(elems, linked)
-        comps: dict = {rep: [] for rep in reps}
-        for e in elems:
-            comps[class_of[e]].append(e)
-        return list(comps.values())
+        """The connected components of the weight's category of elements
+        (:func:`presheaf.components`), each as its elements in order."""
+        n = self.diagram.target.n_objects
+        return [[(c, w) for c in range(n) for w in keep[c]] for keep in ps.components(self.weight)]
 
 
 _VL_CACHE: dict[Diagram, VirtualLimit] = {}

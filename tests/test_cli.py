@@ -139,6 +139,15 @@ def test_default_bound_batteries_end(case, capsys):
         assert hashlib.sha256(f"{code}\n{captured.out}".encode()).hexdigest() == RUNAWAY_DIGESTS[case]
 
 
+def test_ultrafilter_ground_past_its_bound_exits_three(capsys):
+    # the bound's message carries no prefix of its own, so stderr names the
+    # bound once
+    family = ",".join(f"x{i}:A" for i in range(11))
+    code = cli.main(["ultraproduct", "--host", "ARROW", "--family", family, "--ultrafilter", "principal:x0"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (3, "", "bound exceeded: ultrafilter_ground |X| = 11\n")
+
+
 @pytest.mark.parametrize("bounds", [[], ["--bounds", "max_objects=12,max_iterations=2"]], ids=["default", "small"])
 def test_par_ex_closure_ends(bounds, capsys):
     # the pair walk took 1.5 million backtrack decisions at the small bounds

@@ -16,6 +16,8 @@ import oracles
 from catengine import completions as cp
 from catengine import corpus
 from catengine import fincat as fc
+from catengine import localize as lz
+from catengine import presheaf as ps
 from catengine import ultra
 from catengine import virtlim as vl
 from catengine.errors import (
@@ -457,6 +459,38 @@ ARROW_TABLE_OUTPUTS = {
     "free_dag_category": (
         lambda cats: vl._free_dag_category(3, ((0, 1), (0, 1), (1, 2), (0, 2))),
         "ba63c46f31c653c452b16962281712ed25fcf236c9c5f00e6256199920bea21c",
+    ),
+    # recorded before these builders moved onto category_from_arrows
+    "opposite": (
+        lambda cats: fc.opposite(cats["SPLIT"]),
+        "41c13dbc58df5a7ebe4787e832833b78b84d56ff269ca84b9035d866d91a3a80",
+    ),
+    "full_subcategory": (
+        lambda cats: fc.full_subcategory(cats["PAR"], [1, 0]),
+        "28a7cab524e838e0d8616e05de19589ecae957c075c6ccad6844db35c6a8d8ba",
+    ),
+    "fractions_of_isos": (
+        lambda cats: lz.fractions(lz.validate_congruence(cats["SPLIT"], cats["SPLIT"].isos())).category,
+        "537683d2443c348f781147ec47b054a70ed2422a8afa6c769b545c21b293bdf6",
+    ),
+    "fractions_of_all": (
+        lambda cats: lz.fractions(lz.validate_congruence(cats["ARROW"], range(3))).category,
+        "58fd22d26fa5882557158449c41d67b0afb4de899e3bd239a8796197cfaafe0e",
+    ),
+    "discrete_category": (
+        lambda cats: ps.discrete_category(3),
+        "fc6abc2d29e8d513c3eb4bce951de05ee77f93ac95b67365abcae15c6f5078f1",
+    ),
+    "empty_shape": (lambda cats: fc.EMPTY_SHAPE, "cfca22cab61ee9035a83692f021ed327dd779c9619a85e6a50fc02a87a3bd21b"),
+    "point_shape": (lambda cats: fc.POINT_SHAPE, "71f71a34d8f21af032415ecc511a58adc976717fc3e8a1119739bf903c6bf9ae"),
+    "pair_shape": (lambda cats: fc.PAIR_SHAPE, "b3f91b76cbd1a75ae5549e0d619754559df8e1367c6508cd402a6245e989acc4"),
+    "parallel_shape": (
+        lambda cats: fc.PARALLEL_SHAPE,
+        "34e1ca0137e641fc05f12623ed8fdfb16f24fbd4a5936b5665d859387db5d725",
+    ),
+    "cospan_shape": (
+        lambda cats: fc.COSPAN_SHAPE,
+        "c4a1f7f5eb0accdf41d56bd574f30024b38b856b9f36570797a09e4010ef7fe7",
     ),
 }
 

@@ -13,7 +13,7 @@ from catengine import presheaf as ps
 from catengine import flatness as fl
 from catengine import completions as cp
 from catengine import ultra
-from catengine.errors import DensityUnverified, ValidationError
+from catengine.errors import BoundExceeded, DensityUnverified, ValidationError
 from conftest import hom_functor
 
 
@@ -59,6 +59,13 @@ def test_sigma_singleton_ground_is_slice(cats):
     assert term
     col = ultra.sigma_colimit(inst)
     assert col.apex == 0
+
+
+def test_sigma_category_past_its_object_bound_raises(cats):
+    inst = ultra.UltraInstance(cats["PAR"], (0, 1), ultra.principal_ultrafilter((0, 1), 1))
+    assert ultra.sigma_category(inst)[0].n_objects > 2
+    with pytest.raises(BoundExceeded, match=r"^sigma_objects > 2$"):
+        ultra.sigma_category(inst, max_objects=2)
 
 
 def test_sigma_colimit_examples(cats):

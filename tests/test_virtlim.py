@@ -216,6 +216,57 @@ def test_presheaf_components_match_breadth_first_search(cats):
     assert sizes[0] and sizes[1] and sizes[2], sizes
 
 
+def _pairwise_components(v: vl.VirtualLimit) -> list[list[tuple[int, tuple]]]:
+    # the referee pairs every two elements that an arrow of the category of
+    # elements joins either way, and lists the classes in element order
+    elems = v.elements()
+    linked = [
+        (e1, e2)
+        for i, e1 in enumerate(elems)
+        for e2 in elems[i + 1:]
+        if v.arrows(e1, e2) or v.arrows(e2, e1)
+    ]
+    reps, class_of = ps._classes(elems, linked)
+    comps: dict = {rep: [] for rep in reps}
+    for e in elems:
+        comps[class_of[e]].append(e)
+    return list(comps.values())
+
+
+def _check_components(C: fc.FiniteCategory, seen: collections.Counter) -> None:
+    for diagram in vl.swept_diagrams(C, 2):
+        try:
+            v = vl.virtual_limit(C, diagram)
+        except FiberCapExceeded:
+            seen["over the fiber cap"] += 1
+            continue
+        want = _pairwise_components(v)
+        assert v.components() == want, (C.name, diagram.describe())
+        seen[min(len(want), 2)] += 1
+
+
+def test_components_match_pairwise_referee(cats):
+    # the corpus, and two completions with larger weights: fam_f(Z2, 2) has
+    # two swept diagrams whose weight is over the fiber cap
+    seen = collections.Counter()
+    for C in [*cats.values(), cp.direct_pretopos(cats["ARROW"]).as_category(), cp.fam_f(cats["Z2"], 2).as_category()]:
+        _check_components(C, seen)
+    assert seen[0] and seen[1] and seen[2] and seen["over the fiber cap"] == 2, seen
+    assert sum(seen.values()) == 633, seen
+
+
+def test_components_match_pairwise_referee_on_random_dags():
+    seen = collections.Counter()
+
+    @settings(max_examples=25, deadline=None)
+    @given(dag_categories())
+    def check(C):
+        _check_components(C, seen)
+
+    check()
+    assert seen[2] > 0, seen
+
+
 def test_fc_and_poly_agree_with_oracle_on_swept_z2(cats):
     Z2 = cats["Z2"]
     for diagram in vl.swept_diagrams(Z2, 2):
