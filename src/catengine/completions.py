@@ -726,7 +726,8 @@ def verify_axioms(E: ConcreteCompletion, scope: Optional[Sequence[int]] = None, 
       (:func:`_component_unions`), which is every union up to iso.  The
       injection pullbacks are listed only along maps out of the
       uncertified objects, and a kept subset of ``X`` looked up before is
-      not listed again.  Every pair's coproduct is still built first.
+      not listed again.  A pair's coproduct is built when it is looked
+      up, after every pair's fiber sizes are checked against the cap.
     """
     flavor = flavor or E.flavor
     scope = list(scope) if scope is not None else list(range(len(E.objects)))
@@ -766,19 +767,20 @@ def verify_axioms(E: ConcreteCompletion, scope: Optional[Sequence[int]] = None, 
                     yield (i, j, "coequalizer of the kernel pair of"), image
 
     def injection_pullbacks():
-        # every pair's coproduct is built before the first lookup, so a pair
-        # over the fiber cap ends the battery whichever pullback is missing
-        cocones = [
-            (i, j, ps.coproduct(base, [objects[i], objects[j]]))
-            for i, j in itertools.combinations_with_replacement(scope, 2)
-        ]
+        # a pair over the fiber cap ends the battery whichever pullback is
+        # missing: the first such pair's coproduct is built, and raises
+        pairs = list(itertools.combinations_with_replacement(scope, 2))
+        for i, j in pairs:
+            if any(m + n > ps.FIBER_CAP for m, n in zip(objects[i].fiber_sizes(), objects[j].fiber_sizes())):
+                ps.coproduct(base, [objects[i], objects[j]])
         # the certificate: a pullback along a map out of X is a union of X's
         # components, so E holds every one listed for a certified X
         uncertified = [x for x in scope if any(E.find_object(U) is None for U in _component_unions(objects[x]))]
         if not uncertified:
             return
         looked_up = set()  # (x, kept elements): a repeat was found before
-        for i, j, cocone in cocones:
+        for i, j in pairs:
+            cocone = ps.coproduct(base, [objects[i], objects[j]])
             k = E.find_object(cocone.apex)
             if k is None:
                 continue

@@ -207,31 +207,33 @@ def _restriction_components(inst, stages, S: frozenset, S2: frozenset):
 
 
 def _cocones_into(inst, stages, N: int) -> list[dict]:
-    """All compatible families of stage maps into the representable at ``N``:
-    one variable per member, each choice checked against the earlier members
-    it contains (members are sorted by size, so none contains a later one)."""
+    """All compatible families of stage maps into the representable at ``N``,
+    in the order of ``itertools.product`` over each member's hom-set.
+
+    The stage map at a member is compatible when it is the composite of the
+    map at every earlier member it contains with the restriction onto that
+    stage (members are sorted by size, so none contains a later one).  So a
+    decided map forces the map at every later member containing its own, a
+    map forced twice clashes unless the components agree, and only a member
+    that contains no earlier member is branched on, over its hom-set.
+    """
     host = inst.host
     members = inst.ultrafilter.members
     YN = ps.yoneda(host, N)
-    res = {
-        (S, S2): _restriction_components(inst, stages, S, S2)
+    # member index -> [(later member containing it, restriction components)]
+    above = [
+        [(j, _restriction_components(inst, stages, T, S).components) for j, T in enumerate(members) if S < T]
         for S in members
-        for S2 in members
-        if S2 <= S
-    }
-    choices = [ps.hom_set(stages[S].apex, YN) for S in members]
+    ]
+    branched = [k for k, S in enumerate(members) if not any(S2 < S for S2 in members[:k])]
+    choices = {k: [t.components for t in ps.hom_set(stages[members[k]].apex, YN)] for k in branched}
 
-    def compatible(k: int, cand, chosen: dict):
-        S = members[k]
-        for i in range(k):
-            S2 = members[i]
-            if S2 <= S and ps.compose_nats(chosen[i], res[(S, S2)]).components != cand.components:
-                return None
-        return ()
+    def forced(k: int, comps, _assigned):
+        return [(j, tuple({x: comps[a][y] for x, y in r.items()} for a, r in enumerate(res))) for j, res in above[k]]
 
     return [
-        {S: chosen[i] for i, S in enumerate(members)}
-        for chosen in backtrack(range(len(members)), choices.__getitem__, compatible)
+        {S: ps.NatTransformation(stages[S].apex, YN, assigned[k], check=False) for k, S in enumerate(members)}
+        for assigned in backtrack(branched, choices.__getitem__, forced)
     ]
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -397,14 +398,53 @@ class CompletenessReport:
         }
 
 
+def _weight_fiber_bounds(hom_sizes, diagram: Diagram) -> list[int]:
+    """A bound on each fiber ``|W(c)|`` of the diagram's weight.
+
+    A cone's leg at a vertex that a non-identity shape arrow reaches from a
+    lower-indexed vertex is that arrow's image of the lower leg, so the legs
+    at the other vertices decide the cone: ``|W(c)|`` is at most the product
+    of their ``|hom(c, D d)|``, with equality on a discrete shape.
+    """
+    S = diagram.shape
+    reached = {S.tgt[s] for s in range(S.n_morphisms) if S.src[s] < S.tgt[s]}
+    free = [diagram.vertex(d) for d in range(S.n_objects) if d not in reached]
+    return [math.prod(row[x] for x in free) for row in hom_sizes]
+
+
+def _raise_past_fiber_cap(cat: FiniteCategory, diagrams: list[Diagram], key) -> None:
+    """Raise, before any detector runs, the fiber-cap error that sweeping
+    ``diagrams`` in order would meet, building only the diagrams whose
+    weight may pass the cap by :func:`_weight_fiber_bounds` (a weight that
+    fits is kept for the sweep).  The sweep never stops early, and while
+    every representable fits no detector raises, so the first error is the
+    sweep's.  A representable past the cap may first be built by a detector
+    (the weak-limit test of the empty diagram tries each object), so which
+    error comes first depends on the mode, and the sweep is left to meet it.
+    Done once per category and sweep, under ``key`` in ``cat._cache``.
+    """
+    if key in cat._cache:
+        return
+    n = cat.n_objects
+    hom_sizes = [[len(cat.hom(c, x)) for x in range(n)] for c in range(n)]
+    if all(size <= ps.FIBER_CAP for row in hom_sizes for size in row):
+        for diagram in diagrams:
+            if any(size > ps.FIBER_CAP for size in _weight_fiber_bounds(hom_sizes, diagram)):
+                virtual_limit(cat, diagram)
+    cat._cache[key] = True
+
+
 def classify_completeness(cat: FiniteCategory, mode: str, bound: int = 0) -> CompletenessReport:
     """Run one virtual-limit detector over the generating diagrams.
 
     The headline verdict comes from the empty, pair and parallel-pair
     diagrams, which generate all finite limits; with ``bound > 0`` every
-    diagram on a free shape of that size is swept as well.
+    diagram on a free shape of that size is swept as well.  Where every
+    representable fits, a weight past the fiber cap raises before any
+    diagram is classified (:func:`_raise_past_fiber_cap`).
     """
     diagrams = swept_diagrams(cat, bound) if bound > 0 else generating_diagrams(cat)
+    _raise_past_fiber_cap(cat, diagrams, ("sweep_fits", max(bound, 0)))
     records = []
     passed, witness = True, None
     for diagram in diagrams:

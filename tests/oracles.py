@@ -4,8 +4,9 @@ Nothing here calls the engine's weight machinery, union-find quotients,
 detector shortcuts or search kernel: cones are enumerated directly from the
 composition table and the definitional factorization conditions are checked
 verbatim.  The exceptions are the reference constructions at the end, which
-build through the engine's checked presheaf limits and concrete functors the
-answers that faster routes must reproduce byte for byte.
+build through the engine's checked presheaf limits and concrete functors (and,
+for the ultraproduct cocones, its search kernel) the answers that faster
+routes must reproduce byte for byte.
 """
 from __future__ import annotations
 
@@ -703,3 +704,36 @@ def preserves_limit_concrete(F, cone):
         for b in range(conc.target_base.n_objects)
     )
     return ps.NatTransformation(conc.objects[cone.apex], lim, comps).is_pointwise_bijective()
+
+
+def ultra_cocones_by_branching(inst, stages, N):
+    """Every compatible family of stage maps into the representable at
+    ``N``, as ``ultra._cocones_into`` listed it before forced legs were
+    composed: one variable per member, each branched over its full hom-set
+    and checked against the earlier members it contains."""
+    from catengine import presheaf as ps
+    from catengine.fincat import backtrack
+    from catengine.ultra import _restriction_components
+
+    members = inst.ultrafilter.members
+    YN = ps.yoneda(inst.host, N)
+    res = {
+        (S, S2): _restriction_components(inst, stages, S, S2)
+        for S in members
+        for S2 in members
+        if S2 <= S
+    }
+    choices = [ps.hom_set(stages[S].apex, YN) for S in members]
+
+    def compatible(k, cand, chosen):
+        S = members[k]
+        for i in range(k):
+            S2 = members[i]
+            if S2 <= S and ps.compose_nats(chosen[i], res[(S, S2)]).components != cand.components:
+                return None
+        return ()
+
+    return [
+        {S: chosen[i] for i, S in enumerate(members)}
+        for chosen in backtrack(range(len(members)), choices.__getitem__, compatible)
+    ]

@@ -8,9 +8,6 @@ tolerances anywhere.
 from __future__ import annotations
 
 import itertools
-import json
-
-import pytest
 
 from catengine import cli
 from catengine import corpus

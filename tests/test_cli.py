@@ -221,6 +221,20 @@ def test_analyze_limits(run):
     assert report["reports"]["weak"]["witness"] == "[A,B|u,v]"
 
 
+@pytest.mark.parametrize("sweep_bound", ["0", "1"])
+def test_analyze_limits_past_the_fiber_cap_pinned(sweep_bound, tmp_path, capsys):
+    # the weight of the pair [M2,M2] has 16 x 16 cones at M2; every diagram
+    # swept before it fits
+    from catengine import completions as cp, corpus, fincat as fc
+
+    host = tmp_path / "famZ2.json"
+    host.write_text(json.dumps(fc.category_to_json(cp.fam_f(corpus.load("Z2"), 2).as_category())))
+    code = cli.main(["analyze-limits", str(host), "--sweep-bound", sweep_bound])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == "bound exceeded: value set of size 256 exceeds cap 64 in presheaf lim Y[M2,M2]\n"
+
+
 def test_report_deterministic(run):
     _, out1 = run("report", "--seed", "7")
     _, out2 = run("report", "--seed", "7")

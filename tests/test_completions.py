@@ -17,8 +17,7 @@ from catengine import virtlim as vl
 from catengine import completions as cp
 from catengine import localize as lz
 from catengine import cli
-from catengine.errors import NotWeaklyLex, ValidationError
-from conftest import hom_functor
+from catengine.errors import FiberCapExceeded, NotWeaklyLex, ValidationError
 import oracles
 
 
@@ -167,6 +166,33 @@ def test_coproducts_universal_matches_listing(cats):
     E = cp.close(cats["ONE"], "lext", BOUNDS)
     X = next(M for M in E.objects if len(ps.components(M)) == 12)
     assert E.find_object(ps.subpresheaf(X, [X.values[0][:11]])[0]) is None
+
+
+@pytest.mark.parametrize("case, scope, want, built", [
+    # every object of PAR's pret closure is certified: no coproduct is built
+    ("PAR pret", None, {"passed": True, "witness": None}, 0),
+    # the first pair's pullback is missing: only M0+M0 is built
+    ("PAR lext", None, {"passed": False, "witness": "pullback of injection 0 of M0+M0 along M21->M3 missing"}, 1),
+    ("DISC2 pret", None, {"passed": False, "witness": "pullback of injection 1 of M0+M2 along M15->M5 missing"}, 3),
+    # fibers of 31, 32 and 33 points: M32+M33 is the first pair over the cap
+    ("ONE fam_f", [31, 32, 33], "value set of size 65 exceeds cap 64 in presheaf M32+M33", 1),
+    ("ONE fam_f", [0, 1, 32], {"passed": True, "witness": None}, 0),
+], ids=["PAR pret", "PAR lext", "DISC2 pret", "ONE fam_f over the cap", "ONE fam_f under the cap"])
+def test_coproducts_universal_builds_only_what_it_looks_up(case, scope, want, built, cats, monkeypatch):
+    # each verdict, witness and message is the one the check gave when it
+    # built every scoped pair's coproduct first (300 of them on PAR pret)
+    name, flavor = case.split()
+    C = cats[name]
+    E = cp.fam_f(C, 33) if flavor == "fam_f" else cp.close(C, flavor, cp.Bounds())
+    monkeypatch.setitem(cp._FLAVOR_AXIOMS, flavor, ("coproducts_universal",))
+    calls = []
+    coproduct = ps.coproduct
+    monkeypatch.setattr(ps, "coproduct", lambda base, Ms, name=None: calls.append(1) or coproduct(base, Ms, name))
+    try:
+        got = cp.verify_axioms(E, scope=scope).checks["coproducts_universal"]
+    except FiberCapExceeded as exc:
+        got = str(exc)
+    assert (got, len(calls)) == (want, built)
 
 
 def test_component_unions_are_the_unions_up_to_iso(cats):

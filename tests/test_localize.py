@@ -13,8 +13,7 @@ from catengine import presheaf as ps
 from catengine import completions as cp
 from catengine import localize as lz
 from catengine import virtlim as vl
-from catengine.errors import EnumerationTooLarge, NotCongruence, ValidationError
-from conftest import hom_functor
+from catengine.errors import EnumerationTooLarge, NotCongruence
 import oracles
 
 

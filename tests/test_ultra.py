@@ -15,6 +15,7 @@ from catengine import completions as cp
 from catengine import ultra
 from catengine.errors import BoundExceeded, DensityUnverified, ValidationError
 from conftest import hom_functor
+import oracles
 
 
 def test_principal_ultrafilter_structure():
@@ -163,6 +164,37 @@ def test_cocones_match_filtered_product(cats):
                 assert [[c[S].components for S in members] for c in got] == want, (C.name, point, N)
                 sizes[min(len(want), 2)] += 1
     assert sizes[0] > 0 and sizes[2] > 0, sizes
+
+
+def test_forced_legs_match_branching_referee(cats):
+    # composing each forced leg gives the cocones that branching every member
+    # over its full hom-set gives, key by key and in order: every family of
+    # every corpus host on 2 points, and on 3 points, where the top member
+    # contains three earlier members and its leg is forced three times
+    seen = collections.Counter()
+    for C in cats.values():
+        objs = range(C.n_objects)
+        instances = [
+            ultra.UltraInstance(C, family, ultra.principal_ultrafilter(range(len(family)), point))
+            for n in (2, 3)
+            for family in itertools.product(objs, repeat=n)
+            for point in range(n)
+        ]
+        for inst in instances:
+            stages = ultra._stage_presheaves(inst)
+            members = inst.ultrafilter.members
+            most_forced = max(sum(S2 < S for S2 in members) for S in members)
+            for N in objs:
+                got = ultra._cocones_into(inst, stages, N)
+                want = oracles.ultra_cocones_by_branching(inst, stages, N)
+                assert [list(c) for c in got] == [list(c) for c in want] and all(list(c) == list(members) for c in got)
+                assert [[c[S].components for S in members] for c in got] == [
+                    [c[S].components for S in members] for c in want], (C.name, inst.family, N)
+                assert all(c[S].source is stages[S].apex and c[S].target is ps.yoneda(C, N)
+                           for c in got for S in members)
+                seen["several cocones"] += len(got) >= 2
+                seen["forced twice"] += bool(got) and most_forced >= 2
+    assert seen["several cocones"] and seen["forced twice"], seen
 
 
 def test_categorical_ultraproduct_sizes(cats):

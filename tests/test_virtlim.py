@@ -453,3 +453,158 @@ def test_virtual_limit_over_the_fiber_cap_raises_as_before(cats, monkeypatch):
     with pytest.raises(FiberCapExceeded, match=re.escape(message)):
         oracles.virtual_limit_by_presheaf_limit(C, diagram)
     assert diagram not in vl._VL_CACHE
+
+
+# -- the sweep's fiber cap, decided before any weight is built -----------------
+
+
+def _fresh(C: fc.FiniteCategory) -> fc.FiniteCategory:
+    """A copy of ``C`` with nothing kept in its cache."""
+    return fc.validate_category(fc.category_to_json(C))
+
+
+def _classify_or_cap(classify):
+    try:
+        return classify().to_json()
+    except FiberCapExceeded as exc:
+        return str(exc)
+
+
+def _classify_by_sweep(C, mode, bound):
+    """``classify_completeness`` as it ran before the fiber cap was decided
+    first: each diagram's weight built and classified in sweep order."""
+    diagrams = vl.swept_diagrams(C, bound) if bound > 0 else vl.generating_diagrams(C)
+    records = []
+    for diagram in diagrams:
+        ok, data = vl._detect(mode, vl.virtual_limit(C, diagram))
+        records.append((diagram.describe(), ok, len(data) if isinstance(data, list) else (1 if data else 0)))
+    witness = next((d for d, ok, _ in records if not ok), None)
+    return vl.CompletenessReport(C.name, mode, bound, witness is None, witness, tuple(records))
+
+
+def _fans() -> fc.FiniteCategory:
+    """Objects A, B, C with 65 arrows A -> C listed before 65 arrows A -> B,
+    and nothing else but identities: both ``Y(B)`` and ``Y(C)`` pass the
+    fiber cap, and no weight does."""
+    arrows = [{"id": "1A", "src": "A", "tgt": "A"}]
+    arrows += [{"id": f"c{k}", "src": "A", "tgt": "C"} for k in range(65)]
+    arrows += [{"id": f"b{k}", "src": "A", "tgt": "B"} for k in range(65)]
+    arrows += [{"id": "1B", "src": "B", "tgt": "B"}, {"id": "1C", "src": "C", "tgt": "C"}]
+    return fc.validate_category({"name": "fans", "objects": ["A", "B", "C"], "morphisms": arrows,
+                                 "identities": {"A": "1A", "B": "1B", "C": "1C"}, "compose": []})
+
+
+def _check_sweep_raises_as_before(C, seen, monkeypatch):
+    for mode in vl.MODES:
+        for bound in (0, 1):
+            monkeypatch.setattr(vl, "_VL_CACHE", {})
+            want = _classify_or_cap(lambda: _classify_by_sweep(_fresh(C), mode, bound))
+            monkeypatch.setattr(vl, "_VL_CACHE", {})
+            got = _classify_or_cap(lambda: vl.classify_completeness(_fresh(C), mode, bound))
+            assert got == want, (C.name, mode, bound)
+            seen["cap" if isinstance(got, str) else "report"] += 1
+
+
+def test_sweep_past_the_fiber_cap_builds_no_weight(cats, monkeypatch):
+    # fam_f(Z2, 2) sweeps 139 diagrams that fit before the pair [M2,M2],
+    # whose weight has 16 x 16 cones at M2: none of them is built
+    C = cp.fam_f(cats["Z2"], 2).as_category()
+    message = "value set of size 256 exceeds cap 64 in presheaf lim Y[M2,M2]"
+    for mode in vl.MODES:
+        for bound in (0, 1):
+            monkeypatch.setattr(vl, "_VL_CACHE", {})
+            with pytest.raises(FiberCapExceeded, match=re.escape(message)):
+                vl.classify_completeness(_fresh(C), mode, bound)
+            assert vl._VL_CACHE == {}, (mode, bound)
+
+
+def test_sweep_raises_where_the_sweep_would(cats, monkeypatch):
+    # the report, or the first fiber-cap error, is the one that building and
+    # classifying every diagram in order gives: on the corpus, the completion
+    # hosts of the benchmark (fam_f(Z2, 2) is over the cap) and a host whose
+    # representables pass the cap, where a weak-limit detector builds Y(B)
+    # on the empty diagram before the first parallel pair builds Y(C)
+    seen = collections.Counter()
+    hosts = [*cats.values(), cp.fam_f(cats["ONE"], 2).as_category(),
+             cp.direct_pretopos(cats["ARROW"]).as_category(), cp.direct_pretopos(cats["ONE"]).as_category(),
+             cp.direct_regular(cats["CHAIN3"]).as_category(), cp.fam_f(cats["Z2"], 2).as_category()]
+    for C in hosts:
+        _check_sweep_raises_as_before(C, seen, monkeypatch)
+    assert seen == {"report": 110, "cap": 10}, seen
+    fans = _fans()
+    errors = {mode: _classify_or_cap(lambda: vl.classify_completeness(_fresh(fans), mode)) for mode in vl.MODES}
+    assert errors == {mode: "value set of size 65 exceeds cap 64 in presheaf Y" + ("B" if mode == "weak" else "C")
+                      for mode in vl.MODES}
+    _check_sweep_raises_as_before(fans, seen, monkeypatch)
+
+
+def test_sweep_raises_where_the_sweep_would_on_random_dags(monkeypatch):
+    seen = collections.Counter()
+
+    @settings(max_examples=15, deadline=None)
+    @given(dag_categories())
+    def check(C):
+        _check_sweep_raises_as_before(C, seen, monkeypatch)
+
+    check()
+    assert seen["report"] > 0, seen
+
+
+def _cone_counts(diagram) -> list[int]:
+    counts = collections.Counter(apex for apex, _ in oracles.enumerate_cones(diagram))
+    return [counts[c] for c in range(diagram.target.n_objects)]
+
+
+def _check_fiber_bounds(C, seen) -> None:
+    n = C.n_objects
+    hom_sizes = [[len(C.hom(c, x)) for x in range(n)] for c in range(n)]
+    for diagram in vl.swept_diagrams(C, 2):
+        bounds, counts = vl._weight_fiber_bounds(hom_sizes, diagram), _cone_counts(diagram)
+        assert all(b >= k for b, k in zip(bounds, counts)), (C.name, diagram.describe())
+        S = diagram.shape
+        if all(S.is_identity(s) for s in range(S.n_morphisms)):
+            assert bounds == counts, (C.name, diagram.describe())
+            seen["discrete"] += 1
+        else:
+            seen["exact" if bounds == counts else "above"] += 1
+
+
+def test_weight_fiber_bound_covers_every_weight(cats):
+    seen = collections.Counter()
+    for C in cats.values():
+        _check_fiber_bounds(C, seen)
+    assert seen["discrete"] and seen["exact"] and seen["above"], seen
+
+
+def test_weight_fiber_bound_covers_every_weight_on_random_dags():
+    seen = collections.Counter()
+
+    @settings(max_examples=25, deadline=None)
+    @given(dag_categories())
+    def check(C):
+        _check_fiber_bounds(C, seen)
+
+    check()
+    assert seen["discrete"] and seen["above"], seen
+
+
+def test_weight_fiber_bound_on_mutually_inverse_arrows(cats):
+    # every vertex of the shape d0 <-> d1 has an arrow into it, yet the
+    # cones are the legs at d0; into Z2 with both arrows sent to s there are
+    # two, which a bound over vertices with no incoming arrow would put at 1
+    iso = fc.validate_category({
+        "name": "iso", "objects": ["d0", "d1"],
+        "morphisms": [{"id": "1_d0", "src": "d0", "tgt": "d0"}, {"id": "1_d1", "src": "d1", "tgt": "d1"},
+                      {"id": "f", "src": "d0", "tgt": "d1"}, {"id": "g", "src": "d1", "tgt": "d0"}],
+        "identities": {"d0": "1_d0", "d1": "1_d1"},
+        "compose": [{"g": "g", "f": "f", "result": "1_d0"}, {"g": "f", "f": "g", "result": "1_d1"}],
+    })
+    Z2 = cats["Z2"]
+    diagrams = vl.diagrams_of_shape(iso, Z2) + vl.diagrams_of_shape(iso, iso)
+    assert len(diagrams) == 6
+    for diagram in diagrams:
+        C = diagram.target
+        hom_sizes = [[len(C.hom(c, x)) for x in range(C.n_objects)] for c in range(C.n_objects)]
+        bounds = vl._weight_fiber_bounds(hom_sizes, diagram)
+        assert bounds == _cone_counts(diagram) == list(vl.virtual_limit(C, diagram).weight.fiber_sizes())
+    assert [vl.virtual_limit(Z2, D).weight.fiber_sizes() for D in diagrams[:2]] == [(2,), (2,)]

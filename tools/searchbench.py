@@ -27,7 +27,7 @@ Five workloads are the searches that share ``fincat.backtrack``:
 - ``functors``: ``enumerate_functors`` from every corpus category into
   FinSet<=3, in order and shuffled by a seeded ``random.Random``.
 
-Two more time what a freshly named host costs the first time it is asked
+Three more time what a freshly named host costs the first time it is asked
 about its limits, as every perfbench universal-search job is:
 
 - ``virtual_limits``: ``virtual_limit`` over the bound-1 sweep of renamed
@@ -35,6 +35,10 @@ about its limits, as every perfbench universal-search job is:
   and five completion hosts, with the host's cache and the virtual-limit
   cache emptied before each run (a weight over the fiber cap counts by its
   message);
+- ``classify``: ``classify_completeness`` in all five modes at sweep bound
+  1 on renamed copies of the corpus categories and the five completion
+  hosts, with the caches emptied before each run as for ``virtual_limits``;
+  a sweep that meets a weight over the fiber cap counts by its message;
 - ``sketch_models``: ``localize.sketch_models`` at value bound 2 for the
   sketch of every corpus category's generating limits on at most two
   objects, end to end: the enumeration with the sketch's prunes and the
@@ -87,6 +91,7 @@ side and the ratio new / old per workload (below 1: the new tree is faster).
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import dataclasses
 import importlib
@@ -216,12 +221,19 @@ def _renamed(fc, C):
     })
 
 
-def virtual_limits_setup(pkg):
-    cp, fc, vl = pkg["completions"], pkg["fincat"], pkg["virtlim"]
-    cats = pkg["corpus"].all_categories()
+def _completion_hosts(pkg):
+    """The categories of the five completions that perfbench's
+    universal-search asks about as hosts."""
+    cp, cats = pkg["completions"], pkg["corpus"].all_categories()
     completions = [cp.fam_f(cats["ONE"], 2), cp.direct_pretopos(cats["ARROW"]), cp.direct_pretopos(cats["ONE"]),
                    cp.direct_regular(cats["CHAIN3"]), cp.fam_f(cats["Z2"], 2)]
-    hosts = [_renamed(fc, C) for C in list(cats.values()) + vl.dag_shapes(2) + [E.as_category() for E in completions]]
+    return [E.as_category() for E in completions]
+
+
+def virtual_limits_setup(pkg):
+    fc, vl = pkg["fincat"], pkg["virtlim"]
+    cats = list(pkg["corpus"].all_categories().values())
+    hosts = [_renamed(fc, C) for C in cats + vl.dag_shapes(2) + _completion_hosts(pkg)]
     return [(H, vl.swept_diagrams(H, 1)) for H in hosts]
 
 
@@ -238,6 +250,25 @@ def virtual_limits_run(pkg, inputs):
             except cap as exc:
                 out.append(str(exc))
     return out
+
+
+def classify_setup(pkg):
+    cats = list(pkg["corpus"].all_categories().values())
+    return [_renamed(pkg["fincat"], C) for C in cats + _completion_hosts(pkg)]
+
+
+def classify_run(pkg, hosts):
+    vl, cap = pkg["virtlim"], pkg["errors"].FiberCapExceeded
+    vl._VL_CACHE.clear()
+    reports, errors = [], collections.Counter()
+    for H in hosts:
+        H._cache.clear()  # no sweep, representables or hom-sets yet
+        for mode in vl.MODES:
+            try:
+                reports.append(vl.classify_completeness(H, mode, 1).to_json())
+            except cap as exc:
+                errors[str(exc)] += 1
+    return reports, errors
 
 
 def sketch_setup(pkg):
@@ -378,6 +409,7 @@ WORKLOADS = {
     "ultra_cocones": (ultra_setup, ultra_run),
     "functors": (functors_setup, functors_run),
     "virtual_limits": (virtual_limits_setup, virtual_limits_run),
+    "classify": (classify_setup, classify_run),
     "sketch_models": (sketch_setup, sketch_run),
     "flatness_routes": (flatness_setup, flatness_run),
     "completion_closure": (closure_setup, closure_run),
